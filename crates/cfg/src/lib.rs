@@ -12,9 +12,7 @@
 //! * [`control_dep`] — the control-dependence relation of Definition 3.9;
 //! * [`defuse`] — the `Def`/`Use` maps of Definitions 3.6–3.7;
 //! * [`reach`] — the reflexive-transitive `IsCFGPath` relation of
-//!   Definition 3.2 (bitset transitive closure), plus the quantitative
-//!   [`DistanceTo`] map (multi-source BFS distance to a target set) that
-//!   the speculative-sweep cost model orders branch arms by;
+//!   Definition 3.2 (bitset transitive closure);
 //! * [`scc`] — Tarjan's strongly-connected components and the loop-entry
 //!   predicate used by the `CheckLoops` procedure (Fig. 6);
 //! * [`dataflow`] — a generic bitvector dataflow framework plus reaching
@@ -53,5 +51,5 @@ pub use control_dep::ControlDeps;
 pub use defuse::DefUse;
 pub use dominator::PostDomTree;
 pub use graph::{EdgeLabel, NodeId};
-pub use reach::{DistanceTo, Reachability, UncoveredDistance};
+pub use reach::Reachability;
 pub use scc::Sccs;

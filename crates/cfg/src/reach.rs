@@ -10,12 +10,6 @@
 //!
 //! The closure is stored as one bitset row per node, so queries are O(1)
 //! and construction is O(V·E/64) — negligible for procedure-sized CFGs.
-//!
-//! [`DistanceTo`] is the quantitative companion used by the speculative
-//! sweep's cost model: instead of the boolean "can `n` reach a target?" it
-//! precomputes *how far* the nearest target is (a multi-source backward
-//! BFS over CFG edges), so the frontier scheduler can prefer branch arms
-//! close to the affected region when its token budget is limited.
 
 use crate::build::Cfg;
 use crate::graph::NodeId;
@@ -105,136 +99,6 @@ impl Reachability {
     }
 }
 
-/// Minimal CFG-edge distance from every node to the nearest node of a
-/// target set (a multi-source backward BFS over predecessor edges).
-///
-/// A target's own distance is `0` (matching the reflexivity of
-/// [`Reachability`]); nodes from which no target is reachable report
-/// [`DistanceTo::UNREACHABLE`]. The directed-mode speculative sweep uses
-/// this as its arm-ordering key: low distance ⇒ the arm's feasibility
-/// checks are the ones the authoritative pass is most likely to consume.
-#[derive(Debug, Clone)]
-pub struct DistanceTo {
-    dist: Vec<u32>,
-}
-
-impl DistanceTo {
-    /// Distance reported for nodes that cannot reach any target.
-    pub const UNREACHABLE: u32 = u32::MAX;
-
-    /// Computes distances to the nearest node of `targets` on `cfg`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dise_cfg::{build_cfg, DistanceTo};
-    /// use dise_ir::parse_program;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let p = parse_program("proc f(int x) { x = 1; x = 2; }")?;
-    /// let cfg = build_cfg(&p.procs[0]);
-    /// let dist = DistanceTo::new(&cfg, [cfg.end()]);
-    /// assert_eq!(dist.get(cfg.end()), 0);
-    /// assert!(dist.get(cfg.begin()) > 0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn new(cfg: &Cfg, targets: impl IntoIterator<Item = NodeId>) -> DistanceTo {
-        let mut dist = vec![Self::UNREACHABLE; cfg.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for target in targets {
-            if dist[target.index()] != 0 {
-                dist[target.index()] = 0;
-                queue.push_back(target);
-            }
-        }
-        while let Some(node) = queue.pop_front() {
-            let next = dist[node.index()] + 1;
-            for &pred in cfg.graph().preds(node) {
-                if next < dist[pred.index()] {
-                    dist[pred.index()] = next;
-                    queue.push_back(pred);
-                }
-            }
-        }
-        DistanceTo { dist }
-    }
-
-    /// The distance from `n` to its nearest target
-    /// ([`DistanceTo::UNREACHABLE`] when no target is reachable).
-    pub fn get(&self, n: NodeId) -> u32 {
-        self.dist[n.index()]
-    }
-
-    /// The raw distance vector, indexed by [`NodeId::index`].
-    pub fn into_vec(self) -> Vec<u32> {
-        self.dist
-    }
-}
-
-/// Minimal CFG-edge distance from every node to the nearest *uncovered*
-/// conditional — the `md2u` ("minimal distance to uncovered") feature of
-/// the pluggable search heuristic, after RustOOX's method-summary-cached
-/// variant.
-///
-/// "Uncovered" is a caller-supplied predicate over the CFG's conditional
-/// nodes; the directed pipeline passes "not in the affected sets", so the
-/// feature measures how much *unaffected* branching structure an arm must
-/// traverse — a signal [`DistanceTo`] (nearest affected node) cannot
-/// express. Nodes from which no uncovered conditional is reachable report
-/// [`UncoveredDistance::UNREACHABLE`]; with every conditional covered the
-/// whole map is the sentinel.
-///
-/// The computation is the same multi-source backward BFS as
-/// [`DistanceTo`], so the maps share cost characteristics and the
-/// per-fingerprint cache treats them uniformly.
-#[derive(Debug, Clone)]
-pub struct UncoveredDistance {
-    dist: DistanceTo,
-}
-
-impl UncoveredDistance {
-    /// Distance reported for nodes that cannot reach any uncovered
-    /// conditional.
-    pub const UNREACHABLE: u32 = DistanceTo::UNREACHABLE;
-
-    /// Computes distances to the nearest conditional of `cfg` for which
-    /// `covered` answers `false`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dise_cfg::{build_cfg, UncoveredDistance};
-    /// use dise_ir::parse_program;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let p = parse_program("proc f(int x) { if (x > 0) { x = 1; } }")?;
-    /// let cfg = build_cfg(&p.procs[0]);
-    /// let md2u = UncoveredDistance::new(&cfg, |_| false);
-    /// let branch = cfg.cond_nodes().next().unwrap();
-    /// assert_eq!(md2u.get(branch), 0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn new(cfg: &Cfg, covered: impl Fn(NodeId) -> bool) -> UncoveredDistance {
-        let targets = cfg.cond_nodes().filter(|&n| !covered(n));
-        UncoveredDistance {
-            dist: DistanceTo::new(cfg, targets),
-        }
-    }
-
-    /// The distance from `n` to its nearest uncovered conditional
-    /// ([`UncoveredDistance::UNREACHABLE`] when none is reachable).
-    pub fn get(&self, n: NodeId) -> u32 {
-        self.dist.get(n)
-    }
-
-    /// The raw distance vector, indexed by [`NodeId::index`].
-    pub fn into_vec(self) -> Vec<u32> {
-        self.dist.into_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,205 +176,6 @@ mod tests {
         assert_eq!(from_begin.len(), cfg.len());
         let from_end: Vec<_> = reach.reachable_from(cfg.end()).collect();
         assert_eq!(from_end, vec![cfg.end()]);
-    }
-
-    #[test]
-    fn distance_matches_branch_structure() {
-        let (cfg, reach) =
-            setup("proc f(int x) {\n  if (x > 0) {\n    x = 1;\n  } else {\n    x = 2;\n  }\n}");
-        let branch = cfg.cond_nodes().next().unwrap();
-        let t = cfg.true_succ(branch);
-        let dist = DistanceTo::new(&cfg, [t]);
-        assert_eq!(dist.get(t), 0);
-        assert_eq!(dist.get(branch), 1);
-        // The false arm cannot reach the true arm.
-        assert_eq!(dist.get(cfg.false_succ(branch)), DistanceTo::UNREACHABLE);
-        // Finite distance agrees with boolean reachability on every node.
-        for n in cfg.node_ids() {
-            assert_eq!(
-                dist.get(n) != DistanceTo::UNREACHABLE,
-                reach.is_cfg_path(n, t),
-                "distance/reachability mismatch at {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn distance_takes_the_nearest_of_several_targets() {
-        let (cfg, _) = setup("proc f(int x) { x = 1; x = 2; x = 3; }");
-        let writes: Vec<_> = cfg.write_nodes().collect();
-        let dist = DistanceTo::new(&cfg, [writes[0], writes[2]]);
-        assert_eq!(dist.get(writes[0]), 0);
-        assert_eq!(dist.get(writes[2]), 0);
-        // The middle write's nearest target is the one just below it.
-        assert_eq!(dist.get(writes[1]), 1);
-    }
-
-    #[test]
-    fn distance_through_loop_back_edges() {
-        let (cfg, _) = setup("proc f(int x) { while (x > 0) { x = x - 1; } x = 9; }");
-        let branch = cfg.cond_nodes().next().unwrap();
-        let body = cfg.true_succ(branch);
-        let dist = DistanceTo::new(&cfg, [body]);
-        // The body reaches itself around the loop; the exit write cannot.
-        assert_eq!(dist.get(branch), 1);
-        let after = cfg.false_succ(branch);
-        assert_eq!(dist.get(after), DistanceTo::UNREACHABLE);
-    }
-
-    #[test]
-    fn empty_target_set_is_everywhere_unreachable() {
-        let (cfg, _) = setup("proc f(int x) { x = 1; }");
-        let dist = DistanceTo::new(&cfg, []);
-        for n in cfg.node_ids() {
-            assert_eq!(dist.get(n), DistanceTo::UNREACHABLE);
-        }
-        assert!(DistanceTo::new(&cfg, [cfg.begin()]).into_vec().contains(&0));
-    }
-
-    #[test]
-    fn distance_multi_source_ties_take_the_minimum() {
-        // A diamond: the branch is exactly one edge from both arm heads.
-        // With both arms as targets, the tie must resolve to distance 1
-        // regardless of which target the BFS dequeues first.
-        let (cfg, _) =
-            setup("proc f(int x) {\n  if (x > 0) {\n    x = 1;\n  } else {\n    x = 2;\n  }\n}");
-        let branch = cfg.cond_nodes().next().unwrap();
-        let t = cfg.true_succ(branch);
-        let f = cfg.false_succ(branch);
-        let forward = DistanceTo::new(&cfg, [t, f]);
-        let backward = DistanceTo::new(&cfg, [f, t]);
-        assert_eq!(forward.get(branch), 1);
-        // Target order is irrelevant: every node agrees.
-        for n in cfg.node_ids() {
-            assert_eq!(forward.get(n), backward.get(n), "order dependence at {n}");
-        }
-    }
-
-    #[test]
-    fn distance_duplicate_targets_are_harmless() {
-        let (cfg, _) = setup("proc f(int x) { x = 1; x = 2; }");
-        let end = cfg.end();
-        let once = DistanceTo::new(&cfg, [end]);
-        let thrice = DistanceTo::new(&cfg, [end, end, end]);
-        for n in cfg.node_ids() {
-            assert_eq!(once.get(n), thrice.get(n));
-        }
-    }
-
-    #[test]
-    fn distance_unreachable_nodes_keep_the_sentinel_everywhere() {
-        // Target the true arm of a branch: the false arm and everything
-        // only it reaches must answer UNREACHABLE, and the sentinel must
-        // survive into the raw vector the budget controller indexes.
-        let (cfg, reach) = setup(
-            "proc f(int x) {\n  if (x > 0) {\n    x = 1;\n  } else {\n    x = 2;\n    x = 3;\n  }\n}",
-        );
-        let branch = cfg.cond_nodes().next().unwrap();
-        let t = cfg.true_succ(branch);
-        let dist = DistanceTo::new(&cfg, [t]);
-        let vec = dist.clone().into_vec();
-        assert_eq!(vec.len(), cfg.len());
-        for n in cfg.node_ids() {
-            assert_eq!(dist.get(n), vec[n.index()], "vector/get disagree at {n}");
-            if !reach.is_cfg_path(n, t) {
-                assert_eq!(
-                    dist.get(n),
-                    DistanceTo::UNREACHABLE,
-                    "{n} reaches no target"
-                );
-            } else {
-                assert!(dist.get(n) < cfg.len() as u32, "{n} has a real distance");
-            }
-        }
-    }
-
-    #[test]
-    fn distance_empty_source_set_matches_boolean_reachability() {
-        // The budget controller consumes DistanceTo built from an empty
-        // affected set when a change deletes every affected node — every
-        // query must answer the sentinel (and the sweep is skipped).
-        let (cfg, _) = setup("proc f(int x) { while (x > 0) { x = x - 1; } }");
-        let dist = DistanceTo::new(&cfg, std::iter::empty());
-        for n in cfg.node_ids() {
-            assert_eq!(dist.get(n), DistanceTo::UNREACHABLE);
-        }
-        assert!(dist
-            .into_vec()
-            .iter()
-            .all(|&d| d == DistanceTo::UNREACHABLE));
-    }
-
-    #[test]
-    fn md2u_unreachable_arm_keeps_the_sentinel() {
-        // Cover the loop condition: the exit write reaches no other
-        // conditional, so it (and everything only it reaches) must answer
-        // the sentinel even though covered conditionals are nearby.
-        let (cfg, _) = setup("proc f(int x) { while (x > 0) { x = x - 1; } x = 9; }");
-        let branch = cfg.cond_nodes().next().unwrap();
-        let md2u = UncoveredDistance::new(&cfg, |n| n == branch);
-        let after = cfg.false_succ(branch);
-        assert_eq!(md2u.get(after), UncoveredDistance::UNREACHABLE);
-        assert_eq!(md2u.get(branch), UncoveredDistance::UNREACHABLE);
-    }
-
-    #[test]
-    fn md2u_tie_takes_the_minimum_regardless_of_order() {
-        // Two uncovered conditionals at equal distance from begin: the
-        // multi-source BFS must answer 1 however its queue dequeues, and
-        // the covered-predicate variant must agree with hand-built
-        // DistanceTo over the same target set.
-        let (cfg, _) = setup(
-            "proc f(int x, int y) {\n  if (x > 0) {\n    if (y > 0) { y = 1; }\n  } else {\n    if (y < 0) { y = 2; }\n  }\n}",
-        );
-        let outer = cfg.cond_nodes().next().unwrap();
-        let md2u = UncoveredDistance::new(&cfg, |n| n == outer);
-        assert_eq!(md2u.get(outer), 1, "both inner conditionals are 1 away");
-        let targets: Vec<NodeId> = cfg.cond_nodes().filter(|&n| n != outer).collect();
-        let reference = DistanceTo::new(&cfg, targets);
-        for n in cfg.node_ids() {
-            assert_eq!(
-                md2u.get(n),
-                reference.get(n),
-                "md2u/DistanceTo disagree at {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn md2u_empty_uncovered_set_is_everywhere_unreachable() {
-        // Every conditional covered (and the no-conditional program):
-        // the map is all sentinel, matching DistanceTo's empty-target
-        // contract the budget controller already relies on.
-        let (cfg, _) = setup("proc f(int x) { if (x > 0) { x = 1; } x = 2; }");
-        let all = UncoveredDistance::new(&cfg, |_| true);
-        for n in cfg.node_ids() {
-            assert_eq!(all.get(n), UncoveredDistance::UNREACHABLE);
-        }
-        assert!(all
-            .into_vec()
-            .iter()
-            .all(|&d| d == UncoveredDistance::UNREACHABLE));
-        let (straight, _) = setup("proc f(int x) { x = 1; }");
-        let none = UncoveredDistance::new(&straight, |_| false);
-        for n in straight.node_ids() {
-            assert_eq!(none.get(n), UncoveredDistance::UNREACHABLE);
-        }
-    }
-
-    #[test]
-    fn md2u_uncovered_conditionals_score_zero_on_themselves() {
-        let (cfg, _) = setup("proc f(int x) { if (x > 0) { x = 1; } x = 2; }");
-        let md2u = UncoveredDistance::new(&cfg, |_| false);
-        for c in cfg.cond_nodes() {
-            assert_eq!(md2u.get(c), 0);
-        }
-        // Distances agree with get through the raw vector.
-        let vec = md2u.clone().into_vec();
-        assert_eq!(vec.len(), cfg.len());
-        for n in cfg.node_ids() {
-            assert_eq!(md2u.get(n), vec[n.index()]);
-        }
     }
 
     #[test]

@@ -2,40 +2,24 @@
 //!
 //! ```text
 //! dise run <v1.mj> <v2.mj> [<v3.mj> …] <proc> [--full] [--trace] [--simplify]
-//!          [--reaching-defs] [--jobs N] [--sweep-budget auto|unlimited|N]
-//!          [--heuristic distance|tuned|FILE] [--summaries on|off|auto]
+//!          [--reaching-defs] [--jobs N] [--summaries on|off|auto]
 //!          [--store DIR] [--stats json|text]
 //!          [--trace-json FILE] [--trace-chrome FILE]
 //!     Diff consecutive program versions and report the affected path
 //!     conditions of each hop. With two files this is the classic single
 //!     run; with more, the hops chain through one analysis session per
-//!     pair and the solver's warm trie plus the measured sweep ratio
-//!     transfer hop-to-hop in process (results are byte-identical to
-//!     independent runs — chaining only moves solver work).
+//!     pair and the solver's warm trie transfers hop-to-hop in process
+//!     (results are byte-identical to independent runs — chaining only
+//!     moves solver work).
 //!     --full           also run full symbolic execution for comparison
 //!     --trace          print the Fig. 5(b) and Table 1 style traces
 //!     --simplify       subsume redundant bounds in printed path conditions
 //!     --reaching-defs  use the precise data-flow premise (ablation mode)
-//!     --jobs N         explore with N parallel frontier workers (default 1,
-//!                      or the DISE_JOBS environment variable); paths and
-//!                      path conditions are identical to the serial run
-//!     --sweep-budget   token budget for the speculative sweep of parallel
-//!                      directed runs (default `auto`, or the
-//!                      DISE_SWEEP_BUDGET environment variable): `auto`
-//!                      sizes the sweep from the affected cone, `unlimited`
-//!                      sweeps the whole static cone, a count N admits N
-//!                      speculative states, and 0 disables the sweep
-//!     --heuristic      arm-scoring weights for the speculative sweep of
-//!                      parallel directed runs (default: the DISE_HEURISTIC
-//!                      environment variable, else inherit the weights the
-//!                      analysis store recorded for this procedure, else
-//!                      `distance`): `distance` scores arms purely by
-//!                      distance to the nearest affected node (the
-//!                      pre-heuristic baseline), `tuned` uses the
-//!                      corpus-tuned vector `dise tune` found, a FILE path
-//!                      loads a custom `*.weights` file. Weights only
-//!                      reorder speculative work — verdicts are
-//!                      byte-identical under any vector
+//!     --jobs N         explore the --full run with N parallel frontier
+//!                      workers (default 1, or the DISE_JOBS environment
+//!                      variable); paths and path conditions are identical
+//!                      to the serial run. The directed (DiSE) run is
+//!                      order-dependent and always explores serially
 //!     --summaries      procedure-summary mode for the --full run (default
 //!                      `auto`, or the DISE_SUMMARIES environment variable):
 //!                      `auto`/`on` explore each callee once and instantiate
@@ -53,8 +37,8 @@
 //!                      byte-identical to a cold run; a damaged store
 //!                      degrades to cold with a one-line warning
 //!     --stats json|text stats output format (default `text`): `text`
-//!                      prints the classic `solver:`/`stages:`/`sweep:`/
-//!                      `store:` lines, `json` replaces every stats line
+//!                      prints the classic `solver:`/`stages:`/`store:`
+//!                      lines, `json` replaces every stats line
 //!                      with machine-readable metrics-registry dumps (one
 //!                      JSON object per line — strip with `grep -v '^{'`
 //!                      to byte-diff the analysis verdict). Both formats
@@ -71,23 +55,8 @@
 //!     Run the pipeline with tracing enabled and print the hierarchical
 //!     span tree — per-stage wall clock with solver-call and cache-hit
 //!     attribution — plus how many pipeline solver checks the named
-//!     stages account for and what the sweep's arm-scoring heuristic
-//!     did (arms scored/displaced, states to first affected contact).
-//!     --full also profiles the full exploration (summary builds
-//!     included).
-//!
-//! dise tune [--seed N] [--pairs N] [--edits N] [--artifacts on|off] [--out FILE]
-//!     Deterministic parameter search for the sweep heuristic: score
-//!     every candidate weight vector against the canonical tuning
-//!     corpus (`dise_gen::corpus::tune_corpus` — the WBS/OAE/ASW
-//!     artifacts plus `--pairs` generated pairs at the default shape
-//!     and the same number again at 10x scale) by replaying the
-//!     sweep's scheduling on each case's CFG (no solver runs — see
-//!     `dise_core::tune`), print the per-candidate table, and write the
-//!     winning vector to FILE (default `tuned.weights`). Equal
-//!     arguments produce byte-identical output and weight files; CI
-//!     pins `dise tune` twice against itself and against the checked-in
-//!     `tuned.weights`.
+//!     stages account for. --full also profiles the full exploration
+//!     (summary builds included).
 //!
 //! dise trace validate <FILE>
 //!     Check a `--trace-json` log against the trace-event schema.
@@ -179,8 +148,8 @@ use std::sync::Arc;
 use dise_core::dise::DiseConfig;
 use dise_core::metrics::{exec_registry, result_registry};
 use dise_core::report::{
-    duration_mmss, heuristic_stats_line, solver_stats_line, stage_stats_line, store_stats_line,
-    summary_stats_line, sweep_stats_line, verdict_pc_block,
+    duration_mmss, solver_stats_line, stage_stats_line, store_stats_line, summary_stats_line,
+    verdict_pc_block,
 };
 use dise_core::session::AnalysisSession;
 use dise_core::DataflowPrecision;
@@ -216,7 +185,6 @@ fn dispatch(args: Vec<String>) -> Result<(), String> {
     match positional.first().copied() {
         Some("run") => run_command(&args),
         Some("profile") => profile_command(&positional[1..], &flags),
-        Some("tune") => tune_command(&args),
         Some("trace") => trace_command(&positional[1..]),
         Some("evolve") => evolve_command(&positional[1..], &flags),
         Some("gen") => gen_command(&args),
@@ -235,9 +203,8 @@ fn dispatch(args: Vec<String>) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage:
-  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--jobs N] [--sweep-budget auto|unlimited|N] [--heuristic distance|tuned|FILE] [--summaries on|off|auto] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
+  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--jobs N] [--summaries on|off|auto] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
   dise profile <base.mj> <modified.mj> <proc> [--full]
-  dise tune [--seed N] [--pairs N] [--edits N] [--artifacts on|off] [--out FILE]
   dise trace validate <FILE>
   dise evolve <base.mj> <modified.mj> <proc>
   dise gen [--seed N] [--pairs N] [--edits N] [--arms N] [--guard-depth N] [--helpers N] [--call-depth N] [--globals N] [--out DIR] [--verify]
@@ -270,18 +237,9 @@ fn parse_jobs_value(value: &str) -> Result<usize, String> {
     }
 }
 
-fn parse_sweep_budget_value(value: &str) -> Result<dise_symexec::SweepBudget, String> {
-    dise_symexec::SweepBudget::parse(value)
-        .ok_or_else(|| "--sweep-budget expects `auto`, `unlimited`, or a token count".to_string())
-}
-
 fn parse_summaries_value(value: &str) -> Result<dise_symexec::SummaryMode, String> {
     dise_symexec::SummaryMode::parse(value)
         .ok_or_else(|| "--summaries expects `on`, `off`, or `auto`".to_string())
-}
-
-fn parse_heuristic_value(value: &str) -> Result<dise_symexec::HeuristicChoice, String> {
-    dise_symexec::HeuristicChoice::parse_spec(value).map_err(|e| format!("--heuristic: {e}"))
 }
 
 /// `--stats json|text` → whether stats go out as registry dumps.
@@ -293,16 +251,15 @@ fn parse_stats_value(value: &str) -> Result<bool, String> {
     }
 }
 
-/// `run` parses its own arguments: `--jobs` and `--sweep-budget` take a
-/// value (`--jobs N` or `--jobs=N`), so the generic flag/positional split
-/// of [`dispatch`] would misfile the value as a positional; unknown flags
-/// and stray positionals are rejected instead of silently ignored.
+/// `run` parses its own arguments: `--jobs`, `--summaries` and others
+/// take a value (`--jobs N` or `--jobs=N`), so the generic
+/// flag/positional split of [`dispatch`] would misfile the value as a
+/// positional; unknown flags and stray positionals are rejected instead
+/// of silently ignored.
 fn run_command(args: &[String]) -> Result<(), String> {
     const KNOWN_FLAGS: [&str; 4] = ["--full", "--trace", "--simplify", "--reaching-defs"];
     let mut jobs = dise_symexec::ExecConfig::default().jobs;
-    let mut sweep_budget = dise_symexec::ExecConfig::default().sweep_budget;
     let mut summaries = dise_symexec::ExecConfig::default().summaries;
-    let mut heuristic = dise_symexec::ExecConfig::default().heuristic;
     let mut store: Option<std::path::PathBuf> = std::env::var_os("DISE_STORE")
         .filter(|v| !v.is_empty())
         .map(std::path::PathBuf::from);
@@ -321,20 +278,6 @@ fn run_command(args: &[String]) -> Result<(), String> {
                 .next()
                 .ok_or_else(|| "--jobs expects a worker count of at least 1".to_string())?;
             jobs = parse_jobs_value(value)?;
-        } else if let Some(value) = arg.strip_prefix("--sweep-budget=") {
-            sweep_budget = parse_sweep_budget_value(value)?;
-        } else if arg == "--sweep-budget" {
-            let value = iter.next().ok_or_else(|| {
-                "--sweep-budget expects `auto`, `unlimited`, or a token count".to_string()
-            })?;
-            sweep_budget = parse_sweep_budget_value(value)?;
-        } else if let Some(value) = arg.strip_prefix("--heuristic=") {
-            heuristic = parse_heuristic_value(value)?;
-        } else if arg == "--heuristic" {
-            let value = iter.next().ok_or_else(|| {
-                "--heuristic expects `distance`, `tuned`, or a weights file path".to_string()
-            })?;
-            heuristic = parse_heuristic_value(value)?;
         } else if let Some(value) = arg.strip_prefix("--summaries=") {
             summaries = parse_summaries_value(value)?;
         } else if arg == "--summaries" {
@@ -401,9 +344,7 @@ fn run_command(args: &[String]) -> Result<(), String> {
     let config = DiseConfig {
         exec: dise_symexec::ExecConfig {
             jobs,
-            sweep_budget,
             summaries,
-            heuristic,
             tracer: tracer.as_ref().map(|t| TraceHandle::new(t.clone())),
             ..Default::default()
         },
@@ -511,12 +452,6 @@ fn print_hop(
         );
         println!("solver: {}", solver_stats_line(&registry));
         println!("stages: {}", stage_stats_line(&registry));
-        if let Some(line) = sweep_stats_line(&registry) {
-            println!("sweep: {line}");
-        }
-        if let Some(line) = heuristic_stats_line(&registry) {
-            println!("heuristic: {line}");
-        }
         if let Some(line) = store_stats_line(&registry) {
             println!("store: {line}");
         }
@@ -643,93 +578,6 @@ fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     println!(
         "attribution: {attributed} of {total} pipeline solver checks attributed to stage spans ({share})"
     );
-    // Arm-scoring attribution: the sweep span carries the heuristic's
-    // per-arm decisions (scored/displaced/states-to-affected). Serial
-    // profiles have no sweep and print nothing.
-    let heuristic_counter = |name: &str| -> u64 {
-        events
-            .iter()
-            .filter_map(|event| match event {
-                dise_trace::TraceEvent::Span(span) => Some(span),
-                _ => None,
-            })
-            .flat_map(|span| &span.counters)
-            .filter(|(counter, _)| counter == name)
-            .map(|(_, value)| value)
-            .sum()
-    };
-    let arms_scored = heuristic_counter("heuristic.arms_scored");
-    if arms_scored > 0 {
-        println!(
-            "heuristic: {arms_scored} arm(s) scored, {} displaced by score order; \
-             first affected contact after {} sweep state(s)",
-            heuristic_counter("heuristic.arms_displaced"),
-            heuristic_counter("heuristic.states_to_affected"),
-        );
-    }
-    Ok(())
-}
-
-/// `dise tune` — deterministic parameter search for the sweep heuristic
-/// (see `dise_core::tune`) over the canonical corpus
-/// (`dise_gen::corpus::tune_corpus`); equal arguments produce
-/// byte-identical reports and weight files.
-fn tune_command(args: &[String]) -> Result<(), String> {
-    let mut seed: u64 = 0;
-    let mut pairs: usize = 8;
-    let mut edits: usize = 2;
-    let mut artifacts = true;
-    let mut out = std::path::PathBuf::from("tuned.weights");
-    let mut seen_command = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |arg: &str, name: &str| -> Result<Option<String>, String> {
-            if let Some(value) = arg.strip_prefix(&format!("{name}=")) {
-                return Ok(Some(value.to_string()));
-            }
-            if arg == name {
-                return iter
-                    .next()
-                    .map(|v| Some(v.clone()))
-                    .ok_or_else(|| format!("{name} expects a value"));
-            }
-            Ok(None)
-        };
-        if let Some(value) = value_of(arg, "--seed")? {
-            seed = value
-                .parse::<u64>()
-                .map_err(|_| "--seed expects a non-negative integer".to_string())?;
-        } else if let Some(value) = value_of(arg, "--pairs")? {
-            pairs = parse_gen_count("--pairs", &value)?;
-        } else if let Some(value) = value_of(arg, "--edits")? {
-            edits = parse_gen_count("--edits", &value)?;
-        } else if let Some(value) = value_of(arg, "--artifacts")? {
-            artifacts = match value.as_str() {
-                "on" => true,
-                "off" => false,
-                _ => return Err("--artifacts expects `on` or `off`".to_string()),
-            };
-        } else if let Some(value) = value_of(arg, "--out")? {
-            out = std::path::PathBuf::from(value);
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag `{arg}` for `tune`\n{USAGE}"));
-        } else if !seen_command && arg == "tune" {
-            seen_command = true;
-        } else {
-            return Err(format!("unexpected argument `{arg}` for `tune`\n{USAGE}"));
-        }
-    }
-    let cases = dise_gen::corpus::tune_corpus(&dise_gen::corpus::CorpusParams {
-        seed,
-        pairs: pairs as u64,
-        edits,
-        artifacts,
-    });
-    let report = dise_core::tune::tune(&cases).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
-    std::fs::write(&out, report.weights_file())
-        .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
-    println!("wrote best weights to {}", out.display());
     Ok(())
 }
 
@@ -1098,16 +946,11 @@ fn store_command(positional: &[&str]) -> Result<(), String> {
                             .unwrap_or(0);
                         println!(
                             "  {}: {} run(s), {} affected pc(s), {sets}, {} decided prefix(es), \
-                             sweep feedback {}, versions {:08x}->{:08x}, summary {:016x}, \
-                             kinds {}, {} bytes",
+                             versions {:08x}->{:08x}, summary {:016x}, kinds {}, {} bytes",
                             entry.proc_name,
                             entry.runs,
                             entry.pc_count,
                             entry.trie.decided(),
-                            entry
-                                .sweep_feedback
-                                .map(|f| format!("{f:.2}"))
-                                .unwrap_or_else(|| "n/a".to_string()),
                             entry.base_fingerprint as u32,
                             entry.mod_fingerprint as u32,
                             entry.summary_digest,

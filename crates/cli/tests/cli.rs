@@ -175,70 +175,22 @@ fn run_rejects_a_bad_jobs_value() {
 }
 
 #[test]
-fn run_accepts_sweep_budget_forms_and_prints_sweep_stats() {
-    let fx = fixture();
-    let base = fx.base.to_str().unwrap();
-    let modified = fx.modified.to_str().unwrap();
-    // Any budget must leave the reported path conditions identical.
-    let pcs = |out: &Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| l.starts_with("  "))
-            .map(str::to_owned)
-            .collect()
-    };
-    let serial = dise(&["run", base, modified, "f", "--jobs", "1"]);
-    assert!(serial.status.success(), "{}", stderr(&serial));
-    for budget in ["auto", "unlimited", "0", "3"] {
-        let out = dise(&[
-            "run",
-            base,
-            modified,
-            "f",
-            "--jobs",
-            "4",
-            "--sweep-budget",
-            budget,
-        ]);
-        assert!(out.status.success(), "budget {budget}: {}", stderr(&out));
-        assert_eq!(pcs(&serial), pcs(&out), "budget {budget}");
-    }
-    // A parallel directed run with a live sweep reports its efficiency.
-    let out = dise(&["run", base, modified, "f", "--jobs=4", "--sweep-budget=8"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("sweep:"), "{text}");
-    assert!(text.contains("trie answers consumed"), "{text}");
-    // Budget 0 disables the sweep: nothing to report.
-    let out = dise(&["run", base, modified, "f", "--jobs=4", "--sweep-budget=0"]);
-    assert!(!stdout(&out).contains("sweep:"), "{}", stdout(&out));
-}
-
-#[test]
-fn run_rejects_a_bad_sweep_budget_value() {
-    let fx = fixture();
-    let base = fx.base.to_str().unwrap();
-    let modified = fx.modified.to_str().unwrap();
-    for bad in [
-        &["run", base, modified, "f", "--sweep-budget", "lots"][..],
-        &["run", base, modified, "f", "--sweep-budget"][..],
-        &["run", base, modified, "f", "--sweep-budget=-1"][..],
-    ] {
-        let out = dise(bad);
-        assert!(!out.status.success(), "{bad:?}");
-        assert!(stderr(&out).contains("--sweep-budget"), "{}", stderr(&out));
-    }
-}
-
-#[test]
 fn run_rejects_unknown_flags_and_bad_positionals() {
     let fx = fixture();
     let base = fx.base.to_str().unwrap();
     let modified = fx.modified.to_str().unwrap();
-    // A typo'd flag must not be silently ignored.
-    let out = dise(&["run", base, modified, "f", "--job", "4"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
+    // A typo'd flag must not be silently ignored, nor may the flags of
+    // the deleted speculative sweep.
+    for flag in [
+        &["--job", "4"][..],
+        &["--sweep-budget=0"][..],
+        &["--heuristic=distance"][..],
+    ] {
+        let args = [&["run", base, modified, "f"][..], flag].concat();
+        let out = dise(&args);
+        assert!(!out.status.success(), "{flag:?}");
+        assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
+    }
     // Too few positionals trigger the usage error.
     let out = dise(&["run", base, "f"]);
     assert!(!out.status.success());

@@ -330,24 +330,6 @@ impl AffectedSets {
         &self.trace
     }
 
-    /// The sizing pass of the speculative-sweep cost model: for every CFG
-    /// node, the number of affected nodes (`ACN ∪ AWN`) reachable from it
-    /// — the affected mass *under* a branch arm rooted there. Zero means
-    /// the static speculation hint prunes the arm on entry; the frontier
-    /// budget controller uses the counts (with the distances from
-    /// [`dise_cfg::DistanceTo`]) to decide where sweep tokens are spent.
-    pub fn cone_sizes(&self, cfg: &Cfg, reach: &Reachability) -> Vec<u32> {
-        let affected: Vec<NodeId> = self.acn.iter().chain(self.awn.iter()).copied().collect();
-        cfg.node_ids()
-            .map(|n| {
-                affected
-                    .iter()
-                    .filter(|&&a| reach.is_cfg_path(n, a))
-                    .count() as u32
-            })
-            .collect()
-    }
-
     /// Renders the trace as a Fig. 5(b)-style text table.
     pub fn render_trace(&self, cfg: &Cfg) -> String {
         let _ = cfg;
@@ -548,33 +530,6 @@ proc f(int x) {
         // The write feeds the loop condition via the back edge: Eq.(3).
         assert_eq!(sets.acn().len(), 1);
         assert!(sets.contains(cfg.cond_nodes().next().unwrap()));
-    }
-
-    #[test]
-    fn cone_sizes_count_reachable_affected_nodes() {
-        let (cfg, sets) = affected_for_fig2(DataflowPrecision::CfgPath);
-        let reach = Reachability::new(&cfg);
-        let cones = sets.cone_sizes(&cfg, &reach);
-        assert_eq!(cones.len(), cfg.len());
-        // From the entry every affected node is reachable.
-        assert_eq!(cones[cfg.begin().index()] as usize, sets.len());
-        // An affected node counts itself (reflexive IsCFGPath).
-        for &n in sets.acn() {
-            assert!(cones[n.index()] >= 1, "{n} must count itself");
-        }
-        // Cone mass never grows along an edge's direction beyond its
-        // source: a successor sees a subset of what its predecessor sees.
-        for n in cfg.node_ids() {
-            for &(succ, _) in cfg.succs(n) {
-                assert!(
-                    cones[succ.index()] <= cones[n.index()],
-                    "cone grew along {n} -> {succ}"
-                );
-            }
-        }
-        // Empty sets size everything at zero.
-        let empty = AffectedSets::compute(&cfg, [], DataflowPrecision::CfgPath, false);
-        assert!(empty.cone_sizes(&cfg, &reach).iter().all(|&c| c == 0));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! row (the current state sequence plus the four sets).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use dise_cfg::{Cfg, DistanceTo, NodeId, Reachability, Sccs, UncoveredDistance};
-use dise_symexec::{FeatureMaps, HeuristicWeights, ScoreModel, Strategy};
+use dise_cfg::{Cfg, NodeId, Reachability, Sccs};
+use dise_symexec::Strategy;
 
 use crate::affected::AffectedSets;
 
@@ -42,6 +41,11 @@ pub struct DirectedTraceRow {
 }
 
 /// The Fig. 6 exploration strategy.
+///
+/// Deliberately not forkable ([`Strategy::fork`] keeps its `None`
+/// default): the explored-set resets depend on which sibling subtree ran
+/// first, so forked copies would diverge from the serial result. The
+/// executor therefore runs it serially at any `jobs`.
 #[derive(Debug, Clone)]
 pub struct DirectedStrategy {
     reach: Reachability,
@@ -57,91 +61,32 @@ pub struct DirectedStrategy {
     ex_write: BTreeSet<NodeId>,
     unex_cond: BTreeSet<NodeId>,
     unex_write: BTreeSet<NodeId>,
-    /// The initial affected union `ACN ∪ AWN`. Membership is invariant —
-    /// nodes only move between the explored/unexplored partitions — so
-    /// this drives the static [`Strategy::speculation_hint`].
-    affected_union: Vec<NodeId>,
-    /// The score model pricing the budgeted speculative sweep
-    /// ([`Strategy::speculation_cost`]): the per-node feature maps
-    /// (distance to the affected region, minimal distance to an
-    /// uncovered conditional, affected-cone size, trie prefix depth)
-    /// dotted with this run's heuristic weights.
-    score_model: ScoreModel,
     current_path: Vec<NodeId>,
     trace: Option<Vec<DirectedTraceRow>>,
 }
 
 impl DirectedStrategy {
-    /// Builds the strategy for `cfg` from the affected sets with the
-    /// default (distance-only) heuristic weights. Non-write affected
-    /// "steering" nodes (see [`crate::affected`]) live in the write sets,
-    /// matching their `AWN` seeding.
+    /// Builds the strategy for `cfg` from the affected sets. Non-write
+    /// affected "steering" nodes (see [`crate::affected`]) live in the
+    /// write sets, matching their `AWN` seeding.
     pub fn new(cfg: &Cfg, affected: &AffectedSets, record_trace: bool) -> DirectedStrategy {
-        Self::with_model(
-            cfg,
-            affected,
-            record_trace,
-            HeuristicWeights::default(),
-            None,
-        )
-    }
-
-    /// Builds the strategy with an explicit heuristic weight vector and
-    /// (optionally) precomputed feature maps — the analysis session passes
-    /// its per-fingerprint cache here so warm `advance()` chains skip the
-    /// backward BFS passes on unchanged CFGs. `features` must have been
-    /// computed for this exact (`cfg`, `affected`) pair.
-    pub fn with_model(
-        cfg: &Cfg,
-        affected: &AffectedSets,
-        record_trace: bool,
-        weights: HeuristicWeights,
-        features: Option<Arc<FeatureMaps>>,
-    ) -> DirectedStrategy {
         let mut terminal = vec![false; cfg.len()];
         for n in cfg.node_ids() {
             use dise_cfg::NodeKind;
             terminal[n.index()] =
                 matches!(cfg.node(n).kind, NodeKind::End | NodeKind::Error { .. });
         }
-        let reach = Reachability::new(cfg);
-        let affected_union: Vec<NodeId> = affected
-            .acn()
-            .iter()
-            .chain(affected.awn())
-            .copied()
-            .collect();
-        let features =
-            features.unwrap_or_else(|| Arc::new(features_with_reach(cfg, affected, &reach)));
-        let score_model = ScoreModel::new(weights, features);
         DirectedStrategy {
-            reach,
+            reach: Reachability::new(cfg),
             sccs: Sccs::new(cfg),
             terminal,
             ex_cond: BTreeSet::new(),
             ex_write: BTreeSet::new(),
             unex_cond: affected.acn().clone(),
             unex_write: affected.awn().clone(),
-            affected_union,
-            score_model,
             current_path: Vec::new(),
             trace: record_trace.then(Vec::new),
         }
-    }
-
-    /// Computes the per-node feature maps the score model consumes (see
-    /// [`FeatureMaps`] for the feature definitions). Exposed so callers
-    /// can cache the result across runs that share a CFG and affected
-    /// sets; [`DirectedStrategy::with_model`] accepts it back.
-    pub fn compute_features(cfg: &Cfg, affected: &AffectedSets) -> FeatureMaps {
-        features_with_reach(cfg, affected, &Reachability::new(cfg))
-    }
-
-    /// The score model this strategy hands to the speculative sweep
-    /// (its feature maps are shared via `Arc` — clone them out for
-    /// caching).
-    pub fn score_model(&self) -> &ScoreModel {
-        &self.score_model
     }
 
     /// The captured Table 1 trace (empty unless enabled).
@@ -260,73 +205,6 @@ impl Strategy for DirectedStrategy {
         }
         is_reachable
     }
-
-    /// Static over-approximation of `AffectedLocIsReachable` for the
-    /// parallel frontier's speculative sweep: the dynamic filter can only
-    /// accept a successor when *some* affected node — unexplored at that
-    /// moment, hence a member of the invariant initial union — is
-    /// CFG-reachable from it, or when the successor is terminal. The
-    /// strategy itself is deliberately *not* forkable: the explored-set
-    /// resets depend on which sibling subtree ran first, so forked copies
-    /// would diverge from the serial result.
-    fn speculation_hint(&self, node: NodeId) -> bool {
-        self.terminal[node.index()]
-            || self
-                .affected_union
-                .iter()
-                .any(|&affected| self.reach.is_cfg_path(node, affected))
-    }
-
-    /// The score model that prices the sweep: feature maps precomputed
-    /// in [`DirectedStrategy::with_model`] dotted with the run's
-    /// heuristic weights, plus the affected total that sizes the
-    /// automatic token grant.
-    fn speculation_cost(&self) -> Option<ScoreModel> {
-        Some(self.score_model.clone())
-    }
-}
-
-/// Builds the feature maps using an already-computed reachability
-/// closure (the constructor needs one anyway; [`compute_features`]
-/// builds a fresh one for external callers).
-///
-/// [`compute_features`]: DirectedStrategy::compute_features
-fn features_with_reach(cfg: &Cfg, affected: &AffectedSets, reach: &Reachability) -> FeatureMaps {
-    let affected_union: Vec<NodeId> = affected
-        .acn()
-        .iter()
-        .chain(affected.awn())
-        .copied()
-        .collect();
-    FeatureMaps {
-        distance: DistanceTo::new(cfg, affected_union.iter().copied()).into_vec(),
-        uncovered: UncoveredDistance::new(cfg, |n| affected.contains(n)).into_vec(),
-        cone: affected.cone_sizes(cfg, reach),
-        trie_depth: forward_depth(cfg),
-        affected_total: affected_union.len() as u32,
-    }
-}
-
-/// Forward BFS depth from the entry node: how many edges before a state
-/// at this node is reached, which is how deep into the shared prefix
-/// trie its path condition sits. Shallow nodes are likelier to hit
-/// prefixes the sweep already warmed. Unreachable nodes keep the
-/// sentinel.
-fn forward_depth(cfg: &Cfg) -> Vec<u32> {
-    let mut depth = vec![ScoreModel::UNREACHABLE; cfg.len()];
-    let mut queue = std::collections::VecDeque::new();
-    depth[cfg.begin().index()] = 0;
-    queue.push_back(cfg.begin());
-    while let Some(n) = queue.pop_front() {
-        let d = depth[n.index()];
-        for &(succ, _) in cfg.succs(n) {
-            if depth[succ.index()] == ScoreModel::UNREACHABLE {
-                depth[succ.index()] = d + 1;
-                queue.push_back(succ);
-            }
-        }
-    }
-    depth
 }
 
 #[cfg(test)]
@@ -547,46 +425,6 @@ mod tests {
         // Multiple unrollings are explored, not just the first.
         assert!(summary.stats().states_explored > 5);
         assert!(summary.pc_count() >= 2);
-    }
-
-    #[test]
-    fn speculation_cost_agrees_with_the_hint() {
-        let base = crate::affected::tests::fig2_base();
-        let modified = fig2_mod();
-        let (cfg_base, cfg_mod, diff) =
-            dise_diff::CfgDiff::from_programs(&base, &modified, "update").unwrap();
-        let affected = crate::removed::affected_locations(
-            &cfg_base,
-            &cfg_mod,
-            &diff,
-            DataflowPrecision::CfgPath,
-            false,
-        );
-        let strategy = DirectedStrategy::new(&cfg_mod, &affected, false);
-        let cost = strategy.speculation_cost().expect("directed has a model");
-        assert_eq!(cost.affected_total() as usize, affected.len());
-        let features = cost.features();
-        assert_eq!(features.cone.len(), cfg_mod.len());
-        assert_eq!(features.distance.len(), cfg_mod.len());
-        assert_eq!(features.uncovered.len(), cfg_mod.len());
-        assert_eq!(features.trie_depth.len(), cfg_mod.len());
-        for n in cfg_mod.node_ids() {
-            let reaches_affected = features.cone[n.index()] > 0;
-            // A node has a finite distance exactly when its cone is
-            // non-empty, and the static hint admits exactly those nodes
-            // plus terminals.
-            assert_eq!(
-                features.distance[n.index()] != ScoreModel::UNREACHABLE,
-                reaches_affected,
-                "distance/cone mismatch at {n}"
-            );
-            if !reaches_affected {
-                use dise_cfg::NodeKind;
-                let terminal =
-                    matches!(cfg_mod.node(n).kind, NodeKind::End | NodeKind::Error { .. });
-                assert_eq!(strategy.speculation_hint(n), terminal);
-            }
-        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! cross-version analysis store (`dise-store`): it warm-starts the
 //! incremental solver from the procedure's recorded prefix-trie verdicts,
 //! reuses the recorded affected sets when the `(base, modified)`
-//! fingerprint pair is unchanged, primes the speculative sweep's `Auto`
-//! budget with the previously *measured* consumption ratio, and records
-//! everything back on completion. Store damage of any kind downgrades to
+//! fingerprint pair is unchanged, and records everything back on
+//! completion. Store damage of any kind downgrades to
 //! a cold run ([`StoreStatus::warning`]) — warm starts change wall-clock
 //! and solver-call counts, never summaries.
 
@@ -31,7 +30,7 @@ use std::time::Duration;
 use dise_diff::DiffError;
 use dise_ir::ast::Program;
 use dise_ir::inline::InlineError;
-use dise_symexec::{ExecConfig, ExecError, HeuristicWeights, SymbolicSummary};
+use dise_symexec::{ExecConfig, ExecError, SymbolicSummary};
 
 use crate::affected::{AffectedSets, DataflowPrecision};
 use crate::session::{AnalysisSession, StageTimings};
@@ -64,9 +63,6 @@ pub struct StoreStatus {
     /// The affected-location fixpoint was skipped in favor of the
     /// recorded sets (same `(base, modified)` fingerprint pair).
     pub affected_reused: bool,
-    /// The `Auto` sweep budget was primed with a previously measured
-    /// consumption ratio instead of the proportional default.
-    pub feedback_reused: bool,
     /// Procedure summaries the full exploration reused instead of
     /// rebuilding — revived from store snapshots or carried over from
     /// the previous hop of a session chain (unchanged callees only).
@@ -146,11 +142,6 @@ pub struct DiseResult {
     pub stages: StageTimings,
     /// Persistent-store activity (`None` when no store was configured).
     pub store: Option<StoreStatus>,
-    /// The heuristic weight vector the directed exploration scored
-    /// speculative arms with, after resolving the configured
-    /// [`HeuristicChoice`](dise_symexec::HeuristicChoice) against any
-    /// store-persisted weights.
-    pub heuristic: HeuristicWeights,
 }
 
 impl DiseResult {

@@ -5,17 +5,15 @@
 //! * [`affected`] — the affected-location analysis: the `ACN`/`AWN`
 //!   fixpoint over the rules Eq. (1)–(3) of Fig. 3 and the
 //!   reaching-definition rule Eq. (4) of Fig. 4, with an optional
-//!   trace capture reproducing Fig. 5(b), plus the cone-sizing pass
-//!   ([`AffectedSets::cone_sizes`]) that prices branch arms for the
-//!   parallel frontier's speculative-sweep budget;
+//!   trace capture reproducing Fig. 5(b);
 //! * [`removed`] — the `removeNodes` algorithm of Fig. 5(a): the effects
 //!   of statements deleted from the base version, mapped into the modified
 //!   version through the `diffMap`;
 //! * [`directed`] — the directed symbolic execution strategy of Fig. 6
 //!   (explored/unexplored sets, `AffectedLocIsReachable`, `CheckLoops`),
 //!   plugged into the [`dise_symexec`] engine, with an optional trace
-//!   capture reproducing Table 1; also supplies the speculation hint and
-//!   sweep cost model the parallel frontier uses for directed runs;
+//!   capture reproducing Table 1. The strategy is order-dependent, so
+//!   directed runs explore serially at any `jobs`;
 //! * [`session`] — the staged pipeline: an [`AnalysisSession`] computes
 //!   explicit `Flattened → Diffed → Affected → Explored` artifacts
 //!   lazily, caches them, and shares them across any number of
@@ -67,7 +65,6 @@ pub mod report;
 pub mod session;
 mod summaries;
 pub mod theorem;
-pub mod tune;
 
 pub use affected::{AffectedSets, DataflowPrecision, Rule};
 pub use directed::DirectedStrategy;

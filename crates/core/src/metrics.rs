@@ -127,27 +127,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         Stability::Volatile,
     );
     reg.set_counter(
-        "frontier.speculative_states",
-        f.speculative_states,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "frontier.speculative_solves",
-        f.speculative_solves,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "frontier.trie_answers_consumed",
-        f.trie_answers_consumed,
-        Stability::Volatile,
-    );
-    reg.set_counter("frontier.sweep_budget", f.sweep_budget, Stability::Volatile);
-    reg.set_flag(
-        "frontier.sweep_exhausted",
-        f.sweep_exhausted,
-        Stability::Volatile,
-    );
-    reg.set_counter(
         "frontier.shared_trie_entries",
         f.shared_trie_entries,
         Stability::Volatile,
@@ -157,23 +136,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         f.warm_trie_entries,
         Stability::Volatile,
     );
-
-    // Heuristic arm scoring: sweep-only, so everything here is
-    // volatile — the authoritative pass never consults the scores and
-    // the stable byte-identity contract must not see them.
-    reg.set_counter(
-        "heuristic.arms_scored",
-        f.heuristic_arms_scored,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "heuristic.arms_displaced",
-        f.heuristic_arms_displaced,
-        Stability::Volatile,
-    );
-    if let Some(states) = f.sweep_states_to_affected {
-        reg.set_counter("heuristic.states_to_affected", states, Stability::Volatile);
-    }
 
     // Summary instantiation: counts follow the exploration order.
     let m = &stats.summary;
@@ -235,11 +197,6 @@ pub fn store_registry(status: &StoreStatus) -> MetricsRegistry {
         status.affected_reused,
         Stability::Stable,
     );
-    reg.set_flag(
-        "store.feedback_reused",
-        status.feedback_reused,
-        Stability::Stable,
-    );
     reg.set_counter(
         "store.summaries_reused",
         status.summaries_reused,
@@ -269,18 +226,6 @@ pub fn result_registry(result: &DiseResult) -> MetricsRegistry {
         result.affected_nodes as u64,
         Stability::Stable,
     );
-    // The resolved weight vector the run scored arms with. Volatile like
-    // the rest of `heuristic.*`: the stable surface stays weight-blind,
-    // matching the guarantee that weights never change verdicts.
-    let w = result.heuristic;
-    reg.set_gauge("heuristic.weight_distance", w.distance, Stability::Volatile);
-    reg.set_gauge(
-        "heuristic.weight_uncovered",
-        w.uncovered,
-        Stability::Volatile,
-    );
-    reg.set_gauge("heuristic.weight_cone", w.cone, Stability::Volatile);
-    reg.set_gauge("heuristic.weight_trie", w.trie, Stability::Volatile);
     reg.merge(&stage_registry(&result.stages));
     if let Some(status) = &result.store {
         reg.merge(&store_registry(status));
@@ -305,29 +250,6 @@ mod tests {
         assert!(!stable.contains("solver."), "{stable}");
         let volatile = reg.volatile_json();
         assert!(volatile.contains("\"solver.checks\":7"), "{volatile}");
-    }
-
-    #[test]
-    fn heuristic_metrics_stay_out_of_the_stable_surface() {
-        let mut stats = ExecStats::default();
-        stats.frontier.heuristic_arms_scored = 9;
-        stats.frontier.heuristic_arms_displaced = 4;
-        stats.frontier.sweep_states_to_affected = Some(17);
-        let reg = exec_registry(&stats);
-        assert!(!reg.stable_json().contains("heuristic."));
-        let volatile = reg.volatile_json();
-        assert!(
-            volatile.contains("\"heuristic.arms_scored\":9"),
-            "{volatile}"
-        );
-        assert!(
-            volatile.contains("\"heuristic.states_to_affected\":17"),
-            "{volatile}"
-        );
-        // A run that never latched the distance-0 counter omits the
-        // metric rather than reporting a bogus zero.
-        let reg = exec_registry(&ExecStats::default());
-        assert!(!reg.volatile_json().contains("states_to_affected"));
     }
 
     #[test]

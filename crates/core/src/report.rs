@@ -153,78 +153,6 @@ pub fn solver_stats_line(reg: &MetricsRegistry) -> String {
     )
 }
 
-/// One-line summary of speculative-sweep activity for the CLI: states and
-/// solves the sweep spent, the budget they were admitted under, and how
-/// many trie answers the authoritative pass actually consumed — sweep
-/// efficiency at a glance, without running the benchmark. Returns `None`
-/// when no speculative sweep ran (serial runs, fork-mode strategies, or a
-/// zero budget). Reads the `frontier.*` metrics of a registry built by
-/// [`crate::metrics::exec_registry`].
-pub fn sweep_stats_line(reg: &MetricsRegistry) -> Option<String> {
-    let speculative_states = reg.counter("frontier.speculative_states");
-    let sweep_budget = reg.counter("frontier.sweep_budget");
-    if speculative_states == 0 && sweep_budget == 0 {
-        return None;
-    }
-    let budget = if sweep_budget == u64::MAX {
-        "unlimited".to_string()
-    } else {
-        sweep_budget.to_string()
-    };
-    let exhausted = if reg.flag("frontier.sweep_exhausted") {
-        ", exhausted"
-    } else {
-        ""
-    };
-    Some(format!(
-        "{} speculative states, {} solves (budget {budget}{exhausted}); \
-         {} trie answers consumed by the directed pass",
-        speculative_states,
-        reg.counter("frontier.speculative_solves"),
-        reg.counter("frontier.trie_answers_consumed"),
-    ))
-}
-
-/// One-line summary of the sweep's arm-scoring heuristic for the CLI's
-/// `heuristic:` line: the resolved weight vector, how many speculative
-/// branch arms were scored, how many the score order actually moved away
-/// from plain successor order, and (when the sweep reached it) how many
-/// states the sweep admitted before the first one inside the affected
-/// region. Returns `None` when no arms were scored — serial runs have no
-/// sweep to order. Reads the `heuristic.*` metrics of a registry built
-/// by [`crate::metrics::result_registry`].
-pub fn heuristic_stats_line(reg: &MetricsRegistry) -> Option<String> {
-    let scored = reg.counter("heuristic.arms_scored");
-    if scored == 0 {
-        return None;
-    }
-    let weight = |name: &str| {
-        let v = reg.gauge(name);
-        if v == v.trunc() {
-            format!("{v}")
-        } else {
-            format!("{v:.3}")
-        }
-    };
-    let mut line = format!(
-        "weights (distance {}, uncovered {}, cone {}, trie {}); \
-         {} arms scored, {} displaced",
-        weight("heuristic.weight_distance"),
-        weight("heuristic.weight_uncovered"),
-        weight("heuristic.weight_cone"),
-        weight("heuristic.weight_trie"),
-        scored,
-        reg.counter("heuristic.arms_displaced"),
-    );
-    if reg.contains("heuristic.states_to_affected") {
-        line.push_str(&format!(
-            "; first affected state after {} sweep state(s)",
-            reg.counter("heuristic.states_to_affected")
-        ));
-    }
-    Some(line)
-}
-
 /// One-line summary of procedure-summary activity for the CLI's
 /// `summaries:` line: call-site dispatches, summary paths instantiated,
 /// how many successors the witness fast path admitted without running a
@@ -286,9 +214,6 @@ pub fn store_stats_line(reg: &MetricsRegistry) -> Option<String> {
     }
     if reg.flag("store.affected_reused") {
         parts.push("affected sets reused".to_string());
-    }
-    if reg.flag("store.feedback_reused") {
-        parts.push("sweep feedback reused".to_string());
     }
     let summaries_reused = reg.counter("store.summaries_reused");
     if summaries_reused > 0 {
@@ -370,34 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stats_line_reports_budget_and_consumption() {
-        use crate::metrics::exec_registry;
-        use dise_symexec::ExecStats;
-        // Serial / fork-mode runs have nothing to report.
-        assert_eq!(
-            sweep_stats_line(&exec_registry(&ExecStats::default())),
-            None
-        );
-        let mut stats = ExecStats::default();
-        stats.frontier.speculative_states = 40;
-        stats.frontier.speculative_solves = 12;
-        stats.frontier.trie_answers_consumed = 9;
-        stats.frontier.sweep_budget = 88;
-        stats.frontier.sweep_exhausted = true;
-        let line = sweep_stats_line(&exec_registry(&stats)).unwrap();
-        assert!(line.contains("40 speculative states"), "{line}");
-        assert!(line.contains("12 solves"), "{line}");
-        assert!(line.contains("budget 88, exhausted"), "{line}");
-        assert!(line.contains("9 trie answers consumed"), "{line}");
-        let mut unlimited = ExecStats::default();
-        unlimited.frontier.speculative_states = 5;
-        unlimited.frontier.sweep_budget = u64::MAX;
-        let line = sweep_stats_line(&exec_registry(&unlimited)).unwrap();
-        assert!(line.contains("budget unlimited"), "{line}");
-        assert!(!line.contains("exhausted"), "{line}");
-    }
-
-    #[test]
     fn stage_stats_line_prints_milliseconds() {
         use crate::metrics::stage_registry;
         use crate::session::StageTimings;
@@ -431,7 +328,6 @@ mod tests {
         let warm = StoreStatus {
             warm_trie_entries: 17,
             affected_reused: true,
-            feedback_reused: true,
             summaries_reused: 2,
             saved: true,
             warning: None,
@@ -442,36 +338,8 @@ mod tests {
             "{line}"
         );
         assert!(line.contains("affected sets reused"), "{line}");
-        assert!(line.contains("sweep feedback reused"), "{line}");
         assert!(line.contains("2 procedure summaries reused"), "{line}");
         assert!(line.ends_with("saved"), "{line}");
-    }
-
-    #[test]
-    fn heuristic_stats_line_reports_weights_and_displacement() {
-        use dise_trace::Stability;
-        // Serial runs score no arms and print no line.
-        assert_eq!(heuristic_stats_line(&MetricsRegistry::new()), None);
-        let mut reg = MetricsRegistry::new();
-        reg.set_counter("heuristic.arms_scored", 12, Stability::Volatile);
-        reg.set_counter("heuristic.arms_displaced", 4, Stability::Volatile);
-        reg.set_gauge("heuristic.weight_distance", 1.0, Stability::Volatile);
-        reg.set_gauge("heuristic.weight_uncovered", 0.25, Stability::Volatile);
-        reg.set_gauge("heuristic.weight_cone", -0.5, Stability::Volatile);
-        reg.set_gauge("heuristic.weight_trie", 0.125, Stability::Volatile);
-        let line = heuristic_stats_line(&reg).unwrap();
-        assert!(
-            line.contains("weights (distance 1, uncovered 0.250, cone -0.500, trie 0.125)"),
-            "{line}"
-        );
-        assert!(line.contains("12 arms scored, 4 displaced"), "{line}");
-        assert!(!line.contains("first affected state"), "{line}");
-        reg.set_counter("heuristic.states_to_affected", 17, Stability::Volatile);
-        let line = heuristic_stats_line(&reg).unwrap();
-        assert!(
-            line.ends_with("first affected state after 17 sweep state(s)"),
-            "{line}"
-        );
     }
 
     #[test]

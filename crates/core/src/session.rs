@@ -24,12 +24,10 @@
 //!
 //! The persistent analysis store participates at the session boundary:
 //! [`AnalysisSession::open`] loads the prior entry (warm trie, recorded
-//! affected sets, measured sweep ratio) and
-//! [`AnalysisSession::finalize`] records the run back. Version *chains*
-//! reuse state without the disk round-trip:
-//! [`AnalysisSession::advance`] hands the executor's warm trie and the
-//! measured sweep-consumption ratio to the next hop's session via
-//! [`dise_symexec::WarmHandoff`].
+//! affected sets) and [`AnalysisSession::finalize`] records the run
+//! back. Version *chains* reuse state without the disk round-trip:
+//! [`AnalysisSession::advance`] hands the executor's warm trie to the
+//! next hop's session via [`dise_symexec::WarmHandoff`].
 //!
 //! Stage reuse moves solver work around; it never changes results. Every
 //! artifact a session hands out is byte-identical to what an independent
@@ -47,8 +45,7 @@ use dise_ir::ast::Program;
 use dise_ir::inline::{contains_calls, inline_program, InlineError};
 use dise_store::{ProcEntry, Store, StoredAffected};
 use dise_symexec::{
-    ExecConfig, Executor, FeatureMaps, FullExploration, HeuristicWeights, SummaryTable,
-    SymbolicSummary, WarmHandoff,
+    ExecConfig, Executor, FullExploration, SummaryTable, SymbolicSummary, WarmHandoff,
 };
 
 use crate::affected::{AffectedSets, DataflowPrecision};
@@ -105,9 +102,6 @@ pub struct Explored {
     pub summary: SymbolicSummary,
     /// The Table 1 trace, when [`DiseConfig::trace_directed`] was set.
     pub directed_trace: Option<String>,
-    /// The heuristic weight vector the run scored speculative arms with
-    /// (after resolving [`ExecConfig::heuristic`] against the store).
-    pub weights: HeuristicWeights,
 }
 
 /// Shared borrows of every artifact up to the exploration stage, obtained
@@ -183,14 +177,6 @@ pub struct AnalysisSession {
     /// ([`AnalysisSession::advance`]); invalidated per callee against the
     /// new version's fingerprints before reuse.
     carried_summaries: Option<Arc<SummaryTable>>,
-
-    /// Heuristic feature maps keyed by `(mod_fingerprint, affected
-    /// digest)`, carried across [`AnalysisSession::advance`] hops like
-    /// the warm handoff: a chain that revisits a version (or a resident
-    /// `dise serve` session re-running an unchanged CFG) skips the
-    /// backward-BFS feature passes entirely. Feature maps are
-    /// weight-independent, so one cached entry serves any weight vector.
-    feature_cache: std::collections::HashMap<(u64, u64), Arc<FeatureMaps>>,
 
     // Lazily computed stages.
     diffed: Option<Diffed>,
@@ -284,7 +270,6 @@ impl AnalysisSession {
             saved: false,
             handoff: None,
             carried_summaries: None,
-            feature_cache: std::collections::HashMap::new(),
             diffed: None,
             affected: None,
             explored: None,
@@ -294,14 +279,14 @@ impl AnalysisSession {
             summaries: None,
             root_span,
         };
-        // The programs are flattened already, so fingerprinting cannot
-        // hit a fresh inline failure. Computed storeless too: the
-        // fingerprints also key the in-process feature cache.
-        session.fingerprints = (
-            proc_fingerprint(&session.base, &session.proc_name).map_err(DiseError::Inline)?,
-            proc_fingerprint(&session.modified, &session.proc_name).map_err(DiseError::Inline)?,
-        );
         if let Some(store) = &session.store {
+            // The programs are flattened already, so fingerprinting
+            // cannot hit a fresh inline failure.
+            session.fingerprints = (
+                proc_fingerprint(&session.base, &session.proc_name).map_err(DiseError::Inline)?,
+                proc_fingerprint(&session.modified, &session.proc_name)
+                    .map_err(DiseError::Inline)?,
+            );
             let span = session.begin_span("store.load");
             let (prior, warning) = store.load_warm(&session.proc_name);
             let (prefixes, summaries) = prior
@@ -325,9 +310,8 @@ impl AnalysisSession {
 
     /// Finalizes this session and opens the next hop of a version chain:
     /// `modified` becomes the next base, `next` the next modified, and
-    /// the executor's warm trie plus the measured sweep-consumption ratio
-    /// transfer in process — the next hop's shared prefixes answer from
-    /// memory even with no store configured.
+    /// the executor's warm trie transfers in process — the next hop's
+    /// shared prefixes answer from memory even with no store configured.
     ///
     /// Advancing consumes this session's [`StoreStatus`] along with it;
     /// callers that need the hop's store outcome (the save flag, a
@@ -348,9 +332,6 @@ impl AnalysisSession {
             .take()
             .map(|p| p.table)
             .or(self.carried_summaries.take());
-        // Feature maps survive too — keyed by fingerprints, a hop back to
-        // an already-seen version costs no backward BFS.
-        let features = std::mem::take(&mut self.feature_cache);
         let tracer = self.config.exec.tracer.clone();
         let root = tracer.as_ref().map(|h| h.begin("session"));
         let flatten_span = match (&tracer, &root) {
@@ -374,7 +355,6 @@ impl AnalysisSession {
         )?;
         session.handoff = handoff;
         session.carried_summaries = summaries;
-        session.feature_cache = features;
         Ok(session)
     }
 
@@ -546,14 +526,10 @@ impl AnalysisSession {
                 reparented(&self.config.exec, &span),
             )?;
             let mut restored = None;
-            let mut feedback = false;
             let mut dropped: Option<&str> = None;
             if let Some(handoff) = &self.handoff {
                 match executor.warm_start_from(handoff) {
-                    Some(imported) => {
-                        restored = Some(imported);
-                        feedback = handoff.sweep_feedback().is_some();
-                    }
+                    Some(imported) => restored = Some(imported),
                     // A handoff produced under a different solver
                     // configuration is discarded — loudly, like every
                     // other degraded-to-cold path.
@@ -566,8 +542,7 @@ impl AnalysisSession {
             if restored.is_none() {
                 if let Some(entry) = &self.prior {
                     if entry.solver_key == solver_key {
-                        restored = Some(executor.warm_start(&entry.trie, entry.sweep_feedback));
-                        feedback = entry.sweep_feedback.is_some();
+                        restored = Some(executor.warm_start(&entry.trie));
                     } else if dropped.is_none() {
                         dropped = Some(
                             "stored trie discarded (solver configuration changed since it was \
@@ -581,7 +556,6 @@ impl AnalysisSession {
             }
             if let Some(status) = self.status.as_mut() {
                 status.warm_trie_entries = restored.unwrap_or(0);
-                status.feedback_reused = feedback;
             }
             let diffed = self.diffed.as_ref().expect("diff stage ensured");
             let affected = self.affected.as_ref().expect("affected stage ensured");
@@ -590,30 +564,8 @@ impl AnalysisSession {
                 diffed.cfg_mod.len(),
                 "CFG construction must be deterministic"
             );
-            // Resolve the run's weight vector: an explicit --heuristic /
-            // DISE_HEURISTIC choice wins; Inherit adopts whatever vector
-            // the store recorded for this procedure (so serve sessions
-            // and warm CLI runs keep a previously chosen heuristic).
-            let stored_weights = self
-                .prior
-                .as_ref()
-                .and_then(|e| e.heuristic)
-                .map(HeuristicWeights::from_array);
-            let weights = self.config.exec.heuristic.resolve(stored_weights);
-            let feature_key = (self.fingerprints.1, affected_digest(affected));
-            let cached_features = self.feature_cache.get(&feature_key).cloned();
-            let features_cached = cached_features.is_some();
-            let mut strategy = DirectedStrategy::with_model(
-                &diffed.cfg_mod,
-                affected,
-                self.config.trace_directed,
-                weights,
-                cached_features,
-            );
-            if !features_cached {
-                self.feature_cache
-                    .insert(feature_key, Arc::clone(strategy.score_model().features()));
-            }
+            let mut strategy =
+                DirectedStrategy::new(&diffed.cfg_mod, affected, self.config.trace_directed);
             let summary = executor.explore(&mut strategy);
             let directed_trace = self.config.trace_directed.then(|| strategy.render_trace());
             self.timings.explore = start.elapsed();
@@ -634,17 +586,12 @@ impl AnalysisSession {
                             + s.solver.prefix_cache_hits
                             + s.solver.shared_trie_hits,
                     ),
-                    (
-                        "heuristic.features_cached".to_string(),
-                        features_cached as u64,
-                    ),
                 ],
             );
             self.executor = Some(executor);
             self.explored = Some(Explored {
                 summary,
                 directed_trace,
-                weights,
             });
         }
         Ok(self.explored.as_ref().expect("just computed"))
@@ -806,7 +753,6 @@ impl AnalysisSession {
             directed_trace: explored.directed_trace.clone(),
             stages: self.timings,
             store: self.status.clone(),
-            heuristic: explored.weights,
         })
     }
 
@@ -833,7 +779,6 @@ impl AnalysisSession {
             directed_trace: explored.directed_trace,
             stages: self.timings,
             store: status,
-            heuristic: explored.weights,
         })
     }
 
@@ -861,11 +806,11 @@ impl AnalysisSession {
     }
 
     /// Records the session's warm state back to the store (trie snapshot,
-    /// measured sweep ratio, affected sets under their fingerprints) and
-    /// returns the final store status. A no-op (returning the current
-    /// status) when no store is configured, when the exploration never
-    /// ran (there is nothing new to record), or when already finalized —
-    /// calling it more than once is safe.
+    /// affected sets under their fingerprints) and returns the final
+    /// store status. A no-op (returning the current status) when no store
+    /// is configured, when the exploration never ran (there is nothing
+    /// new to record), or when already finalized — calling it more than
+    /// once is safe.
     pub fn finalize(&mut self) -> Option<&StoreStatus> {
         if self.saved {
             return self.status.as_ref();
@@ -894,8 +839,6 @@ impl AnalysisSession {
             runs: self.prior.as_ref().map_or(0, |e| e.runs) + 1,
             pc_count: explored.summary.pc_count() as u64,
             summary_digest: summary_digest(&explored.summary),
-            sweep_feedback: executor.sweep_feedback(),
-            heuristic: Some(explored.weights.to_array()),
             affected: Some(StoredAffected {
                 precision: precision_tag(self.config.precision),
                 changed_nodes: diffed.diff.changed_node_count() as u64,
@@ -1064,22 +1007,6 @@ fn reusable_affected(
         to_set(&stored.acn),
         to_set(&stored.awn),
     ))
-}
-
-/// A stable digest of the affected sets, the second half of the feature
-/// cache key: one modified fingerprint can pair with different bases
-/// (and therefore different affected sets), and the feature maps depend
-/// on both.
-fn affected_digest(affected: &AffectedSets) -> u64 {
-    let mut bytes = Vec::with_capacity(4 * (affected.len() + 1));
-    for n in affected.acn() {
-        bytes.extend_from_slice(&(n.index() as u32).to_le_bytes());
-    }
-    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-    for n in affected.awn() {
-        bytes.extend_from_slice(&(n.index() as u32).to_le_bytes());
-    }
-    dise_store::format::fnv1a(&bytes)
 }
 
 /// A stable digest of the summary's observable output (path conditions,

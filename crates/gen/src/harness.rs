@@ -129,8 +129,8 @@ fn expr_contains_int(expr: &Expr, literal: i64) -> bool {
 
 /// A deterministic executor configuration: serial, traces recorded. Every
 /// knob that honors an environment default (`DISE_JOBS`,
-/// `DISE_SWEEP_BUDGET`, `DISE_SUMMARIES`) is either irrelevant at
-/// `jobs = 1` or pinned explicitly by the caller.
+/// `DISE_SUMMARIES`) is either irrelevant at `jobs = 1` or pinned
+/// explicitly by the caller.
 fn pinned_config(jobs: usize) -> DiseConfig {
     let mut config = DiseConfig::default();
     config.exec.jobs = jobs;

@@ -49,7 +49,6 @@
 //! assert!(report.ground_truth_nodes > 0);
 //! ```
 
-pub mod corpus;
 pub mod edits;
 pub mod harness;
 pub mod scenario;

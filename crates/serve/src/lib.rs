@@ -432,14 +432,6 @@ impl Server {
         let mut config = DiseConfig {
             exec: dise_symexec::ExecConfig {
                 jobs: self.config.jobs,
-                // One-shot runs speculate to keep idle workers busy; a
-                // resident server has *other requests* for those workers,
-                // so explorations run sweep-free. This also makes warm
-                // rebuilds deterministic: every feasibility check of a
-                // repeat exploration answers from the store-warmed trie
-                // (0 pipeline solver calls), which the sweep's
-                // scheduling-dependent speculative states would break.
-                sweep_budget: dise_symexec::frontier::SweepBudget::Tokens(0),
                 ..Default::default()
             },
             store: self.config.store.clone(),

@@ -176,11 +176,6 @@ impl IncrementalSolver {
         self.shared = Some(trie);
     }
 
-    /// Detaches the cross-worker cache (no-op when none is attached).
-    pub fn detach_shared_trie(&mut self) {
-        self.shared = None;
-    }
-
     /// The attached cross-worker cache, if any.
     pub fn shared_trie(&self) -> Option<&Arc<SharedTrie>> {
         self.shared.as_ref()
@@ -1096,20 +1091,6 @@ mod tests {
         assert_eq!(consumer.check(), SatResult::Unsat);
         let after = consumer.stats();
         assert_eq!(after.prefix_unsat_kills, before.prefix_unsat_kills + 1);
-    }
-
-    #[test]
-    fn detached_solver_ignores_the_shared_trie() {
-        let (_, x, _, _) = setup();
-        let shared = Arc::new(SharedTrie::new(1 << 12));
-        let lit = SymExpr::gt(SymExpr::var(&x), SymExpr::int(0));
-        let mut solver = IncrementalSolver::new();
-        solver.attach_shared_trie(Arc::clone(&shared));
-        solver.detach_shared_trie();
-        solver.push(lit);
-        assert_eq!(solver.check(), SatResult::Sat);
-        assert_eq!(shared.len(), 0);
-        assert_eq!(solver.stats().shared_trie_hits, 0);
     }
 
     #[test]

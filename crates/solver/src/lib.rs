@@ -39,8 +39,7 @@
 //!   "unknown ⇒ unsat" policy (§4.1 of the paper; configurable);
 //! * [`incremental`] — the [`IncrementalSolver`] described above;
 //! * [`shared_trie`] — the lock-sharded cross-worker verdict cache of the
-//!   parallel frontier ([`SharedTrie`]), with producer/consumer hit
-//!   counters feeding the speculative-sweep budget controller;
+//!   parallel frontier ([`SharedTrie`]);
 //! * [`simplify`] — path-condition subsumption for display.
 //!
 //! Decision-procedure soundness contract (both tiers):

@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::interval::Interval;
@@ -77,10 +77,6 @@ pub struct SharedTrie {
     capacity: usize,
     hits: AtomicU64,
     publishes: AtomicU64,
-    /// Hits recorded after [`SharedTrie::begin_consume_phase`] — answers
-    /// served to the authoritative consumer rather than between producers.
-    consumed: AtomicU64,
-    consume_phase: AtomicBool,
 }
 
 impl SharedTrie {
@@ -98,8 +94,6 @@ impl SharedTrie {
             capacity,
             hits: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
-            consume_phase: AtomicBool::new(false),
         }
     }
 
@@ -133,9 +127,6 @@ impl SharedTrie {
         let map = shard.lock().unwrap_or_else(|e| e.into_inner());
         let decided = map.get(&(parent, lit.clone()))?.decided.clone()?;
         self.hits.fetch_add(1, Ordering::Relaxed);
-        if self.consume_phase.load(Ordering::Relaxed) {
-            self.consumed.fetch_add(1, Ordering::Relaxed);
-        }
         Some(decided)
     }
 
@@ -181,24 +172,6 @@ impl SharedTrie {
     /// Decisions published so far (republished edges count again).
     pub fn publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
-    }
-
-    /// Starts the consume phase: hits from now on also count as
-    /// *consumed* answers. The parallel frontier's speculative mode calls
-    /// this between the sweep (producers filling the trie) and the
-    /// authoritative serial replay (the consumer), so
-    /// [`SharedTrie::consumed`] reports how much of the speculative work
-    /// the real run actually used — the budget controller's hit-rate
-    /// feedback is measured, not guessed.
-    pub fn begin_consume_phase(&self) {
-        self.consume_phase.store(true, Ordering::Relaxed);
-    }
-
-    /// Hits recorded during the consume phase (answers the authoritative
-    /// pass took from the trie). Zero until
-    /// [`SharedTrie::begin_consume_phase`] is called.
-    pub fn consumed(&self) -> u64 {
-        self.consumed.load(Ordering::Relaxed)
     }
 }
 
@@ -254,23 +227,6 @@ mod tests {
         // Publishing on the never-created edge is a no-op.
         trie.publish(SharedTrie::ROOT, &ls[1], SatResult::Sat, None, None);
         assert!(trie.verdict(SharedTrie::ROOT, &ls[1]).is_none());
-    }
-
-    #[test]
-    fn consume_phase_splits_producer_and_consumer_hits() {
-        let trie = SharedTrie::new(1024);
-        let ls = lits(1);
-        trie.child(SharedTrie::ROOT, &ls[0]).unwrap();
-        trie.publish(SharedTrie::ROOT, &ls[0], SatResult::Sat, None, None);
-        // Producer-side hit: counted as a hit, not as consumption.
-        assert!(trie.verdict(SharedTrie::ROOT, &ls[0]).is_some());
-        assert_eq!(trie.hits(), 1);
-        assert_eq!(trie.consumed(), 0);
-        // Consumer-side hit: counted as both.
-        trie.begin_consume_phase();
-        assert!(trie.verdict(SharedTrie::ROOT, &ls[0]).is_some());
-        assert_eq!(trie.hits(), 2);
-        assert_eq!(trie.consumed(), 1);
     }
 
     #[test]

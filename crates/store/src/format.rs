@@ -23,7 +23,7 @@ pub const MAGIC: [u8; 8] = *b"DISESTOR";
 
 /// Current format version. Bump on any payload layout change — old
 /// readers reject new files (and vice versa) instead of misparsing them.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Header length in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -117,11 +117,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// IEEE-754 bit pattern — exact round-trips, no text formatting.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     pub fn str(&mut self, v: &str) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
@@ -133,16 +128,6 @@ impl Writer {
             Some(v) => {
                 self.u8(1);
                 self.i64(v);
-            }
-        }
-    }
-
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
             }
         }
     }
@@ -201,10 +186,6 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    pub fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     pub fn str(&mut self) -> Result<String, StoreError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -215,14 +196,6 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.i64()?)),
-            _ => Err(StoreError::Corrupt("option tag")),
-        }
-    }
-
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, StoreError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
             _ => Err(StoreError::Corrupt("option tag")),
         }
     }
@@ -240,11 +213,9 @@ mod tests {
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX);
         w.i64(-42);
-        w.f64(0.25);
         w.str("hello");
         w.opt_i64(None);
         w.opt_i64(Some(i64::MIN));
-        w.opt_f64(Some(1.5));
         let bytes = w.finish();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -252,11 +223,9 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap(), 0.25);
         assert_eq!(r.str().unwrap(), "hello");
         assert_eq!(r.opt_i64().unwrap(), None);
         assert_eq!(r.opt_i64().unwrap(), Some(i64::MIN));
-        assert_eq!(r.opt_f64().unwrap(), Some(1.5));
         assert!(r.is_at_end());
     }
 

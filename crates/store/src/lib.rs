@@ -2,9 +2,8 @@
 //!
 //! DiSE's promise is that analyzing program version *N* costs only what
 //! changed since *N−1* — but every piece of incrementality built so far
-//! (the hash-consed interner, the prefix-trie verdict cache, the measured
-//! sweep-consumption ratio) lived in process memory and died with the
-//! run. This crate persists that warm state on disk, one file per
+//! (the hash-consed interner, the prefix-trie verdict cache) lived in
+//! process memory and died with the run. This crate persists that warm state on disk, one file per
 //! analyzed procedure, so a later `dise run` — same version re-analyzed,
 //! or the *next* version of the program — starts with every previously
 //! decided path-condition prefix already memoized.
@@ -18,9 +17,6 @@
 //! * the content fingerprints of the analyzed `(base, modified)` program
 //!   pair plus the raw affected node sets, so a re-run of the *same* pair
 //!   can skip the affected-location fixpoint entirely;
-//! * the measured sweep-consumption ratio, so one-shot runs get the
-//!   feedback-scaled `Auto` sweep budget previously reserved for reused
-//!   executors;
 //! * bookkeeping (run count, path-condition count, summary digest) for
 //!   `dise store stat`.
 //!
@@ -89,14 +85,6 @@ pub struct ProcEntry {
     pub pc_count: u64,
     /// Digest of the last run's summary (CI byte-identity checks).
     pub summary_digest: u64,
-    /// Measured trie-consumption ratio of the last speculative sweep.
-    pub sweep_feedback: Option<f64>,
-    /// The heuristic weight vector the last run scored speculative
-    /// branch arms with, as `(distance, uncovered, cone, trie)` — the
-    /// field order of `dise-symexec`'s `HeuristicWeights`, kept as a
-    /// plain array so the store stays solver-layer only. Warm runs
-    /// whose config leaves the heuristic unset inherit these weights.
-    pub heuristic: Option<[f64; 4]>,
     /// Affected sets of the `(base, modified)` fingerprint pair.
     pub affected: Option<StoredAffected>,
     /// The solver's warm state.
@@ -111,7 +99,7 @@ pub struct ProcEntry {
 
 impl ProcEntry {
     /// The kinds of warm state this entry carries, as a `+`-joined list
-    /// (`trie`, `summary`, `feedback`, `heuristic`, `affected`), or
+    /// (`trie`, `summary`, `affected`), or
     /// `empty`. Printed by `dise store stat`.
     pub fn kinds(&self) -> String {
         let mut kinds = Vec::new();
@@ -120,12 +108,6 @@ impl ProcEntry {
         }
         if !self.summaries.is_empty() {
             kinds.push("summary");
-        }
-        if self.sweep_feedback.is_some() {
-            kinds.push("feedback");
-        }
-        if self.heuristic.is_some() {
-            kinds.push("heuristic");
         }
         if self.affected.is_some() {
             kinds.push("affected");
@@ -449,16 +431,6 @@ fn encode_entry(entry: &ProcEntry) -> Vec<u8> {
     w.u64(entry.runs);
     w.u64(entry.pc_count);
     w.u64(entry.summary_digest);
-    w.opt_f64(entry.sweep_feedback);
-    match &entry.heuristic {
-        None => w.u8(0),
-        Some(weights) => {
-            w.u8(1);
-            for &weight in weights {
-                w.f64(weight);
-            }
-        }
-    }
     match &entry.affected {
         None => w.u8(0),
         Some(affected) => {
@@ -499,12 +471,6 @@ fn decode_entry(payload: &[u8]) -> Result<ProcEntry, StoreError> {
     let runs = r.u64()?;
     let pc_count = r.u64()?;
     let summary_digest = r.u64()?;
-    let sweep_feedback = r.opt_f64()?;
-    let heuristic = match r.u8()? {
-        0 => None,
-        1 => Some([r.f64()?, r.f64()?, r.f64()?, r.f64()?]),
-        _ => return Err(StoreError::Corrupt("heuristic tag")),
-    };
     let affected = match r.u8()? {
         0 => None,
         1 => {
@@ -563,8 +529,6 @@ fn decode_entry(payload: &[u8]) -> Result<ProcEntry, StoreError> {
         runs,
         pc_count,
         summary_digest,
-        sweep_feedback,
-        heuristic,
         affected,
         trie,
         summaries,
@@ -1023,8 +987,6 @@ mod tests {
             runs: 3,
             pc_count: 7,
             summary_digest: 0xfeed,
-            sweep_feedback: Some(0.625),
-            heuristic: Some([1.0, 0.25, -0.5, 0.125]),
             affected: Some(StoredAffected {
                 precision: 1,
                 changed_nodes: 1,
@@ -1086,7 +1048,7 @@ mod tests {
         assert_eq!(loaded.summaries[0].paths[0].guards.len(), 1);
         assert_eq!(
             loaded.kinds(),
-            "trie+summary+feedback+heuristic+affected",
+            "trie+summary+affected",
             "stat kinds reflect the stored payloads"
         );
         std::fs::remove_dir_all(dir).ok();
@@ -1127,17 +1089,33 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected() {
-        let (store, dir) = temp_store();
-        store.save(&sample_entry()).unwrap();
-        let path = store.entry_path("update");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load("update"),
-            Err(StoreError::UnsupportedVersion(_))
-        ));
-        std::fs::remove_dir_all(dir).ok();
+        // A newer writer's file, and a file of the previous layout (3,
+        // which still carried the sweep feedback and heuristic weights):
+        // both are typed errors, and the warm path degrades to cold.
+        for version in [FORMAT_VERSION + 1, 3] {
+            let (store, dir) = temp_store();
+            store.save(&sample_entry()).unwrap();
+            let path = store.entry_path("update");
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                store.load("update"),
+                Err(StoreError::UnsupportedVersion(v)) if v == version
+            ));
+            let (entry, warning) = store.load_warm("update");
+            assert!(entry.is_none(), "version {version} must load cold");
+            assert_eq!(
+                warning.as_deref(),
+                Some(
+                    format!(
+                        "analysis store: unsupported store format version {version}; running cold"
+                    )
+                    .as_str()
+                ),
+            );
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -48,61 +48,30 @@ pub trait Strategy {
     }
 
     /// Clones this strategy for a parallel frontier worker, or `None` when
-    /// the strategy cannot be forked.
+    /// the strategy runs serially.
     ///
     /// Forking is only sound for strategies whose `should_explore`
     /// decisions are independent of global exploration order (stateless
     /// filters, static node predicates). Strategies with order-dependent
     /// global state — like the paper's directed strategy, whose
     /// explored-set resets depend on which sibling subtree ran first —
-    /// must return `None`; the frontier then runs a speculative parallel
-    /// solver sweep and replays the strategy serially (see
-    /// [`crate::frontier`]), which preserves byte-identical summaries.
+    /// must return `None`: [`Executor::explore`] then runs them on the
+    /// serial engine at any [`ExecConfig::jobs`].
     fn fork(&self) -> Option<Box<dyn Strategy + Send>> {
-        None
-    }
-
-    /// A *static over-approximation* of [`Strategy::should_explore`]: may
-    /// return `true` for nodes the dynamic filter would reject, but must
-    /// never return `false` for a node it could accept at any point of any
-    /// serial run. Used to bound the speculative sweep of non-forkable
-    /// strategies; the default (everything reachable) is always sound.
-    fn speculation_hint(&self, node: NodeId) -> bool {
-        let _ = node;
-        true
-    }
-
-    /// The score model pricing the speculative sweep (see
-    /// [`crate::frontier::budget`] and [`crate::heuristic`]): per-node
-    /// feature maps dotted with the run's heuristic weights, plus the
-    /// total affected-node count that sizes the
-    /// [`SweepBudget::Auto`](crate::SweepBudget::Auto) token grant. The
-    /// default (`None`) leaves the sweep unbudgeted and unordered under
-    /// `Auto`; strategies that know their target set — the directed
-    /// strategy in `dise-core` — should return one.
-    fn speculation_cost(&self) -> Option<crate::heuristic::ScoreModel> {
         None
     }
 }
 
-/// An executor's transferable warm state: the decided prefix trie plus
-/// the measured sweep-consumption ratio, tagged with the producing
-/// solver's [`SolverConfig::cache_key`]. Produced by
+/// An executor's transferable warm state: the decided prefix trie, tagged
+/// with the producing solver's [`SolverConfig::cache_key`]. Produced by
 /// [`Executor::warm_handoff`], consumed by [`Executor::warm_start_from`].
 #[derive(Debug, Clone)]
 pub struct WarmHandoff {
     trie: TrieSnapshot,
-    sweep_feedback: Option<f64>,
     solver_key: u64,
 }
 
 impl WarmHandoff {
-    /// The measured sweep-consumption ratio carried by this handoff, if
-    /// the producing run's speculative sweep measured one.
-    pub fn sweep_feedback(&self) -> Option<f64> {
-        self.sweep_feedback
-    }
-
     /// Number of decided path-condition prefixes the handoff carries.
     pub fn decided(&self) -> usize {
         self.trie.decided()
@@ -140,6 +109,31 @@ pub enum FilterScope {
     AllStates,
 }
 
+/// The former speculative sweep's token budget. Nothing reads it: kept
+/// only because `perfbench` sets [`ExecConfig::sweep_budget`], and goes
+/// with the next change to `perfbench`.
+#[derive(Debug, Clone, Copy)]
+pub enum SweepBudget {
+    /// A token count.
+    Tokens(u64),
+}
+
+impl Default for SweepBudget {
+    fn default() -> Self {
+        SweepBudget::Tokens(0)
+    }
+}
+
+/// The former speculative sweep's arm-ordering heuristic. Nothing reads
+/// it: kept only because `perfbench` sets [`ExecConfig::heuristic`], and
+/// goes with the next change to `perfbench`.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum HeuristicChoice {
+    /// Distance to the nearest affected node.
+    #[default]
+    Distance,
+}
+
 /// Configuration of an execution run.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -163,20 +157,18 @@ pub struct ExecConfig {
     /// Which successors the strategy filter applies to.
     pub filter_scope: FilterScope,
     /// Worker threads for frontier exploration. `1` (the default) is the
-    /// serial DFS; `N > 1` enables the work-stealing parallel frontier
-    /// (see [`crate::frontier`]), which produces byte-identical paths,
-    /// path conditions, and outcomes for non-truncated runs. The default
-    /// honors the `DISE_JOBS` environment variable (the CI race matrix).
-    /// [`ExecConfig::record_tree`] forces serial execution.
+    /// serial DFS; `N > 1` explores *forkable* strategies ([`Strategy::fork`]
+    /// returns `Some`, e.g. full exploration) on the work-stealing parallel
+    /// frontier (see [`crate::frontier`]), which produces byte-identical
+    /// paths, path conditions, and outcomes for non-truncated runs.
+    /// Non-forkable strategies — the directed search — run serially at
+    /// any value. The default honors the `DISE_JOBS` environment variable
+    /// (the CI race matrix). [`ExecConfig::record_tree`] forces serial
+    /// execution.
     pub jobs: usize,
-    /// Token budget for the speculative sweep of non-forkable strategies
-    /// (directed runs with `jobs > 1`; see [`crate::frontier::budget`]).
-    /// One token admits one speculative state. The default honors the
-    /// `DISE_SWEEP_BUDGET` environment variable (`auto`, `unlimited`, or
-    /// a count), falling back to
-    /// [`SweepBudget::Auto`](crate::SweepBudget::Auto). Has no effect on
-    /// serial runs or forkable (full-exploration) strategies.
-    pub sweep_budget: crate::frontier::SweepBudget,
+    /// Unused; kept only because `perfbench` sets it (see
+    /// [`SweepBudget`]).
+    pub sweep_budget: SweepBudget,
     /// Whether full explorations of call-bearing programs route calls
     /// through procedure summaries instead of inlining (see
     /// [`crate::summary`]). The executor itself only honors an attached
@@ -186,16 +178,9 @@ pub struct ExecConfig {
     /// (`on`, `off`, or `auto`), falling back to
     /// [`SummaryMode::Auto`].
     pub summaries: SummaryMode,
-    /// Which heuristic weight vector scores speculative branch arms (see
-    /// [`crate::heuristic`]). The default honors the `DISE_HEURISTIC`
-    /// environment variable (`distance`, `tuned`, or a weights-file
-    /// path), falling back to
-    /// [`HeuristicChoice::Inherit`](crate::heuristic::HeuristicChoice::Inherit),
-    /// which adopts store-recorded weights on warm runs and otherwise
-    /// behaves exactly like `distance`. Affects only the speculative
-    /// sweep's arm ordering — recorded verdicts are byte-identical under
-    /// any choice.
-    pub heuristic: crate::heuristic::HeuristicChoice,
+    /// Unused; kept only because `perfbench` sets it (see
+    /// [`HeuristicChoice`]).
+    pub heuristic: HeuristicChoice,
     /// Constraint-solver tuning.
     pub solver: SolverConfig,
     /// Observability hook: when set, pipeline stages, frontier workers,
@@ -215,32 +200,6 @@ fn default_jobs() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or(1)
-    })
-}
-
-/// The `DISE_SWEEP_BUDGET` default, read once per process.
-fn default_sweep_budget() -> crate::frontier::SweepBudget {
-    static BUDGET: std::sync::OnceLock<crate::frontier::SweepBudget> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("DISE_SWEEP_BUDGET")
-            .ok()
-            .and_then(|v| crate::frontier::SweepBudget::parse(&v))
-            .unwrap_or_default()
-    })
-}
-
-/// The `DISE_HEURISTIC` default, read once per process. A malformed
-/// value falls back to [`HeuristicChoice::Inherit`] silently — the CLI
-/// reports parse errors on its own explicit flag, and an env var should
-/// never abort library consumers.
-fn default_heuristic() -> crate::heuristic::HeuristicChoice {
-    static CHOICE: std::sync::OnceLock<crate::heuristic::HeuristicChoice> =
-        std::sync::OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        std::env::var("DISE_HEURISTIC")
-            .ok()
-            .and_then(|v| crate::heuristic::HeuristicChoice::parse_spec(&v).ok())
-            .unwrap_or_default()
     })
 }
 
@@ -266,9 +225,9 @@ impl Default for ExecConfig {
             record_tree: false,
             filter_scope: FilterScope::default(),
             jobs: default_jobs(),
-            sweep_budget: default_sweep_budget(),
+            sweep_budget: SweepBudget::default(),
             summaries: default_summaries(),
-            heuristic: default_heuristic(),
+            heuristic: HeuristicChoice::default(),
             solver: SolverConfig::default(),
             tracer: None,
         }
@@ -443,10 +402,6 @@ pub struct Executor {
     pool: VarPool,
     pub(crate) config: ExecConfig,
     pub(crate) solver: IncrementalSolver,
-    /// Measured trie-consumption ratio (answers consumed per speculative
-    /// state) of this executor's most recent speculative sweep; scales the
-    /// next sweep's [`SweepBudget::Auto`](crate::SweepBudget) grant.
-    pub(crate) sweep_feedback: Option<f64>,
     /// Decided prefixes restored by [`Executor::warm_start`] (reported as
     /// [`crate::FrontierStats::warm_trie_entries`]).
     warm_trie_entries: u64,
@@ -545,7 +500,6 @@ impl Executor {
             pool,
             config,
             solver,
-            sweep_feedback: None,
             warm_trie_entries: 0,
             summaries: None,
         }
@@ -553,10 +507,8 @@ impl Executor {
 
     /// Warm-starts this executor from persisted state: seeds the
     /// incremental solver's interner and prefix trie from `snapshot`
-    /// (terms are re-interned, so snapshots survive process boundaries)
-    /// and primes the sweep-feedback ratio that scales the speculative
-    /// sweep's [`SweepBudget::Auto`](crate::SweepBudget) grant. Returns
-    /// the number of decided prefixes restored.
+    /// (terms are re-interned, so snapshots survive process boundaries).
+    /// Returns the number of decided prefixes restored.
     ///
     /// Restored verdicts are byte-for-byte what this executor would have
     /// computed itself (the [`dise_solver::SharedTrie`] determinism
@@ -564,12 +516,9 @@ impl Executor {
     /// solver configuration** — callers gate on
     /// [`SolverConfig::cache_key`]. Call before the first
     /// [`Executor::explore`]; an invalid snapshot restores nothing.
-    pub fn warm_start(&mut self, snapshot: &TrieSnapshot, sweep_feedback: Option<f64>) -> u64 {
+    pub fn warm_start(&mut self, snapshot: &TrieSnapshot) -> u64 {
         let imported = self.solver.import_trie(snapshot) as u64;
         self.warm_trie_entries += imported;
-        if sweep_feedback.is_some() {
-            self.sweep_feedback = sweep_feedback;
-        }
         imported
     }
 
@@ -582,14 +531,13 @@ impl Executor {
 
     /// Packages this executor's warm state for an in-process handoff to
     /// the executor of a *later pipeline stage or version hop*: the trie
-    /// snapshot, the measured sweep-consumption ratio, and the solver
-    /// cache key the state was produced under. The in-memory analogue of
-    /// a store round-trip, used by `dise-core`'s `AnalysisSession` to
-    /// chain multi-version runs without touching disk.
+    /// snapshot and the solver cache key it was produced under. The
+    /// in-memory analogue of a store round-trip, used by `dise-core`'s
+    /// `AnalysisSession` to chain multi-version runs without touching
+    /// disk.
     pub fn warm_handoff(&self) -> WarmHandoff {
         WarmHandoff {
             trie: self.trie_snapshot(),
-            sweep_feedback: self.sweep_feedback,
             solver_key: self.config.solver.cache_key(),
         }
     }
@@ -603,16 +551,7 @@ impl Executor {
         if handoff.solver_key != self.config.solver.cache_key() {
             return None;
         }
-        Some(self.warm_start(&handoff.trie, handoff.sweep_feedback))
-    }
-
-    /// The measured trie-consumption ratio of the most recent speculative
-    /// sweep (answers the authoritative pass consumed per speculative
-    /// state), if one ran — persisted so later one-shot runs size their
-    /// automatic sweep budget from measurement instead of the
-    /// proportional default.
-    pub fn sweep_feedback(&self) -> Option<f64> {
-        self.sweep_feedback
+        Some(self.warm_start(&handoff.trie))
     }
 
     /// The CFG being executed (shared with the static analyses in
@@ -643,29 +582,36 @@ impl Executor {
 
     /// Runs the exploration with the given strategy.
     ///
-    /// With [`ExecConfig::jobs`] > 1 the work-stealing parallel frontier
-    /// takes over (unless [`ExecConfig::record_tree`] is set, which only
-    /// the serial engine supports); the resulting paths, path conditions,
-    /// and outcomes are byte-identical to the serial run's for
+    /// With [`ExecConfig::jobs`] > 1 and a forkable strategy
+    /// ([`Strategy::fork`] returns `Some`) the work-stealing parallel
+    /// frontier takes over (unless [`ExecConfig::record_tree`] is set,
+    /// which only the serial engine supports); the resulting paths, path
+    /// conditions, and outcomes are byte-identical to the serial run's for
     /// non-truncated explorations — only timing- and cache-dependent
-    /// counters differ. See [`crate::frontier`].
+    /// counters differ. See [`crate::frontier`]. Non-forkable strategies
+    /// always run on the serial engine.
     ///
     /// The reported [`ExecStats::solver`] counters cover this run only,
     /// even though the solver itself (with its prefix trie and caches)
     /// persists across runs of the same executor.
     pub fn explore(&mut self, strategy: &mut dyn Strategy) -> SymbolicSummary {
-        let mut summary = if self.config.jobs > 1 && !self.config.record_tree {
-            crate::frontier::explore_parallel(self, strategy)
+        let forks = if self.config.jobs > 1 && !self.config.record_tree {
+            (0..self.config.jobs)
+                .map(|_| strategy.fork())
+                .collect::<Option<Vec<_>>>()
         } else {
-            self.explore_serial(strategy)
+            None
+        };
+        let mut summary = match forks {
+            Some(forks) => crate::frontier::explore_parallel(self, forks),
+            None => self.explore_serial(strategy),
         };
         summary.stats.frontier.warm_trie_entries = self.warm_trie_entries;
         summary
     }
 
-    /// The serial depth-first engine (also the authoritative replay pass
-    /// of the parallel frontier's speculative mode).
-    pub(crate) fn explore_serial(&mut self, strategy: &mut dyn Strategy) -> SymbolicSummary {
+    /// The serial depth-first engine.
+    fn explore_serial(&mut self, strategy: &mut dyn Strategy) -> SymbolicSummary {
         let start = Instant::now();
         let solver_before = self.solver.stats();
         let mut run = Run {

@@ -32,35 +32,14 @@
 //!   the [`dise_solver::SharedTrie`] determinism contract), so the merged
 //!   summary is byte-identical to serial for non-truncated runs.
 //!
-//! ## Speculative mode (order-dependent strategies)
+//! ## Order-dependent strategies run serially
 //!
 //! The paper's directed strategy mutates global explored sets whose
 //! resets depend on which sibling subtree ran first — its decisions
-//! cannot be forked without changing the result. For such strategies
-//! ([`Strategy::fork`] = `None`) the frontier runs **two phases**:
-//!
-//! 1. a parallel *speculative sweep* — the same work-stealing machinery,
-//!    but with a static filter built from [`Strategy::speculation_hint`]
-//!    (for the directed strategy: nodes that can still reach an affected
-//!    location, a sound superset of anything the dynamic filter accepts)
-//!    and no path materialization. Its only product is the shared trie
-//!    full of prefix verdicts;
-//! 2. the unchanged *serial authoritative pass* with the real strategy,
-//!    whose solver answers from the shared trie. Identical algorithm ⇒
-//!    identical summary; the solver work was done in parallel.
-//!
-//! The sweep is **admission-controlled** ([`budget`]): a global token
-//! budget — by default proportional to the affected-node count
-//! ([`SweepBudget::Auto`]), overridable via
-//! [`ExecConfig::sweep_budget`] / `--sweep-budget` /
-//! `DISE_SWEEP_BUDGET` — is charged one token per speculative state,
-//! and workers spend it on the branch arms the run's heuristic score
-//! model ([`crate::heuristic`]) ranks cheapest (by default: closest to
-//! the affected region). The serial pass records which trie answers it actually
-//! consumed ([`dise_solver::SharedTrie::consumed`]); that measured
-//! ratio scales the next run's automatic grant. Budgeting changes only
-//! how warm the trie is, never the summary — a drained budget means the
-//! serial pass solves more itself.
+//! cannot be forked without changing the result. Such strategies
+//! ([`Strategy::fork`] = `None`) never reach this module:
+//! [`Executor::explore`](crate::Executor::explore) runs them on the serial
+//! engine at any [`ExecConfig::jobs`].
 //!
 //! ## What parallel mode does *not* change
 //!
@@ -75,26 +54,20 @@
 //!
 //! [`IncrementalSolver`]: dise_solver::IncrementalSolver
 //! [`ExecConfig::jobs`]: crate::ExecConfig::jobs
-//! [`ExecConfig::sweep_budget`]: crate::ExecConfig::sweep_budget
 //! [`ExecConfig::record_tree`]: crate::ExecConfig::record_tree
 //! [`ExecStats::frontier`]: crate::ExecStats
 //! [`Strategy::fork`]: crate::Strategy::fork
-//! [`Strategy::speculation_hint`]: crate::Strategy::speculation_hint
 
-pub mod budget;
 pub(crate) mod pool;
 pub(crate) mod worker;
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dise_cfg::NodeId;
 use dise_solver::SharedTrie;
 
 use crate::executor::{ExecStats, Executor, PathSummary, Strategy, SymbolicSummary};
 use crate::state::SymState;
-use budget::BudgetController;
-pub use budget::{SweepBudget, TOKENS_PER_AFFECTED_NODE};
 use pool::{Pool, Task};
 use worker::{Worker, WorkerOutcome};
 
@@ -109,31 +82,6 @@ pub struct FrontierStats {
     pub steals: u64,
     /// Literals replayed to rebuild solver stacks for taken tasks.
     pub replayed_literals: u64,
-    /// States entered by the speculative sweep (speculative mode only).
-    pub speculative_states: u64,
-    /// Feasibility checks the sweep decided by actually running a solver
-    /// pipeline (incremental or fallback; cache/trie hits excluded) — the
-    /// "speculative subtree solves" the budget exists to bound.
-    pub speculative_solves: u64,
-    /// Shared-trie answers consumed by the authoritative serial pass (how
-    /// much of the speculative work the real run used).
-    pub trie_answers_consumed: u64,
-    /// Token budget granted to the sweep (`u64::MAX` = unlimited; `0` on
-    /// serial, fork-mode, and sweep-disabled runs).
-    pub sweep_budget: u64,
-    /// Whether the sweep ran out of budget before draining its cone.
-    pub sweep_exhausted: bool,
-    /// Branch arms the sweep's heuristic score model ranked (speculative
-    /// mode with a score model only).
-    pub heuristic_arms_scored: u64,
-    /// Ranked arms whose position changed relative to the CFG's stable
-    /// successor order — how often the heuristic actually disagreed with
-    /// naive ordering.
-    pub heuristic_arms_displaced: u64,
-    /// Speculative states admitted before the sweep first touched a
-    /// distance-0 (affected) node; `None` when the sweep never reached
-    /// the affected region (or did not run).
-    pub sweep_states_to_affected: Option<u64>,
     /// Edges in the shared prefix trie at the end of the run.
     pub shared_trie_entries: u64,
     /// Decided prefixes seeded from a persistent store before the run
@@ -141,146 +89,24 @@ pub struct FrontierStats {
     pub warm_trie_entries: u64,
 }
 
-/// Entry point from [`Executor::explore`] when `jobs > 1`.
+/// Entry point from [`Executor::explore`] when `jobs > 1` and the
+/// strategy is forkable: `forks` holds one strategy clone per worker.
 pub(crate) fn explore_parallel(
-    exec: &mut Executor,
-    strategy: &mut dyn Strategy,
+    exec: &Executor,
+    forks: Vec<Box<dyn Strategy + Send>>,
 ) -> SymbolicSummary {
     let start = Instant::now();
-    let jobs = exec.config.jobs;
     let shared = Arc::new(SharedTrie::new(exec.config.solver.prefix_trie_capacity));
-
-    if strategy.fork().is_some() {
-        // Fork mode: partition the tree itself.
-        let forks: Vec<Box<dyn Strategy + Send>> = (0..jobs)
-            .map(|_| strategy.fork().expect("fork() must be stable"))
-            .collect();
-        let run = run_pool(exec, forks, &shared, true, None);
-        let mut stats = run.stats;
-        stats.elapsed = start.elapsed();
-        stats.frontier.shared_trie_entries = shared.len() as u64;
-        SymbolicSummary {
-            proc_name: exec.proc_name.clone(),
-            inputs: exec.inputs.clone(),
-            paths: run.paths,
-            stats,
-            tree: None,
-        }
-    } else {
-        // Speculative mode: parallel solver sweep under an admission
-        // budget, then the serial authoritative replay.
-        let controller = BudgetController::new(
-            exec.config.sweep_budget,
-            strategy.speculation_cost(),
-            exec.sweep_feedback,
-        );
-        if !controller.sweep_enabled() {
-            // A zero grant (explicit `--sweep-budget 0`, or Auto with an
-            // empty affected cone) skips the sweep entirely: the serial
-            // pass runs alone, byte-identical by construction.
-            let mut summary = exec.explore_serial(strategy);
-            summary.stats.elapsed = start.elapsed();
-            return summary;
-        }
-        let hint = SpeculationFilter::from_strategy(exec, strategy);
-        let forks: Vec<Box<dyn Strategy + Send>> = (0..jobs)
-            .map(|_| hint.fork().expect("the filter forks"))
-            .collect();
-        let tracer = exec.config.tracer.clone();
-        let sweep_span = tracer.as_ref().map(|h| h.begin("frontier.sweep"));
-        let sweep = run_pool(exec, forks, &shared, false, Some(&controller));
-        let speculative_solves = sweep.stats.solver.pipeline_checks();
-        let (arms_scored, arms_displaced) = controller.arm_stats();
-        let states_to_affected = controller.states_to_affected();
-        if let (Some(h), Some(span)) = (&tracer, sweep_span) {
-            h.end_with(
-                span,
-                vec![
-                    (
-                        "speculative_states".to_string(),
-                        sweep.stats.states_explored,
-                    ),
-                    ("speculative_solves".to_string(), speculative_solves),
-                    ("heuristic.arms_scored".to_string(), arms_scored),
-                    ("heuristic.arms_displaced".to_string(), arms_displaced),
-                    (
-                        "heuristic.states_to_affected".to_string(),
-                        states_to_affected.unwrap_or(0),
-                    ),
-                ],
-            );
-        }
-
-        // From here on, trie hits are the authoritative pass consuming
-        // the sweep's work — the measured signal behind Auto's sizing.
-        shared.begin_consume_phase();
-        exec.solver.attach_shared_trie(Arc::clone(&shared));
-        let auth_span = tracer.as_ref().map(|h| h.begin("frontier.authoritative"));
-        let mut summary = exec.explore_serial(strategy);
-        exec.solver.detach_shared_trie();
-        if let (Some(h), Some(span)) = (&tracer, auth_span) {
-            h.end_with(
-                span,
-                vec![
-                    ("solver.checks".to_string(), summary.stats.solver.checks),
-                    (
-                        "solver.pipeline_checks".to_string(),
-                        summary.stats.solver.pipeline_checks(),
-                    ),
-                    ("trie_answers_consumed".to_string(), shared.consumed()),
-                ],
-            );
-        }
-
-        summary.stats.elapsed = start.elapsed();
-        // Aggregate: the authoritative pass's solver delta plus every
-        // sweep worker's.
-        summary.stats.solver.merge(&sweep.stats.solver);
-        summary.stats.frontier = sweep.stats.frontier;
-        summary.stats.frontier.speculative_states = sweep.stats.states_explored;
-        summary.stats.frontier.speculative_solves = speculative_solves;
-        summary.stats.frontier.trie_answers_consumed = shared.consumed();
-        summary.stats.frontier.sweep_budget = controller.granted();
-        summary.stats.frontier.sweep_exhausted = controller.exhausted();
-        summary.stats.frontier.heuristic_arms_scored = arms_scored;
-        summary.stats.frontier.heuristic_arms_displaced = arms_displaced;
-        summary.stats.frontier.sweep_states_to_affected = states_to_affected;
-        summary.stats.frontier.shared_trie_entries = shared.len() as u64;
-        if sweep.stats.states_explored > 0 {
-            exec.sweep_feedback =
-                Some(shared.consumed() as f64 / sweep.stats.states_explored as f64);
-        }
-        summary
-    }
-}
-
-/// The static cone filter driving the speculative sweep: a per-node
-/// snapshot of [`Strategy::speculation_hint`].
-#[derive(Debug, Clone)]
-struct SpeculationFilter {
-    allow: Arc<Vec<bool>>,
-}
-
-impl SpeculationFilter {
-    fn from_strategy(exec: &Executor, strategy: &dyn Strategy) -> SpeculationFilter {
-        let allow = exec
-            .cfg
-            .node_ids()
-            .map(|n| strategy.speculation_hint(n))
-            .collect();
-        SpeculationFilter {
-            allow: Arc::new(allow),
-        }
-    }
-}
-
-impl Strategy for SpeculationFilter {
-    fn should_explore(&mut self, node: NodeId) -> bool {
-        self.allow.get(node.index()).copied().unwrap_or(true)
-    }
-
-    fn fork(&self) -> Option<Box<dyn Strategy + Send>> {
-        Some(Box::new(self.clone()))
+    let run = run_pool(exec, forks, &shared);
+    let mut stats = run.stats;
+    stats.elapsed = start.elapsed();
+    stats.frontier.shared_trie_entries = shared.len() as u64;
+    SymbolicSummary {
+        proc_name: exec.proc_name.clone(),
+        inputs: exec.inputs.clone(),
+        paths: run.paths,
+        stats,
+        tree: None,
     }
 }
 
@@ -290,16 +116,12 @@ struct PoolRun {
 }
 
 /// Runs the work-stealing pool to completion: seeds the root task, spawns
-/// one thread per forked strategy, merges worker outcomes, and (in
-/// collect mode) assembles paths in serial order. `budget` is the sweep's
-/// admission controller (`None` in fork mode — real exploration is never
-/// budgeted).
+/// one thread per forked strategy, merges worker outcomes, and assembles
+/// paths in serial order.
 fn run_pool(
     exec: &Executor,
     forks: Vec<Box<dyn Strategy + Send>>,
     shared: &Arc<SharedTrie>,
-    collect: bool,
-    budget: Option<&BudgetController>,
 ) -> PoolRun {
     let jobs = forks.len();
     let pool = Pool::new(jobs, exec.config.max_states);
@@ -344,8 +166,7 @@ fn run_pool(
                         solver,
                         strategy,
                         pool,
-                        results: collect.then_some(results),
-                        budget,
+                        results,
                         summaries,
                         stats: ExecStats::default(),
                         replayed: 0,
@@ -506,10 +327,10 @@ proc f(int a, int b, int c, int d) {
     }
 
     #[test]
-    fn speculative_mode_replays_order_dependent_strategies_exactly() {
+    fn order_dependent_strategies_run_serially_at_any_jobs() {
         // A deliberately order-dependent strategy: explores the first K
         // filtered successors, prunes the rest. Not forkable, so jobs > 1
-        // must take the speculative path and reproduce the serial result.
+        // must run the serial engine and reproduce its result exactly.
         struct FirstK {
             left: u32,
         }
@@ -545,65 +366,8 @@ proc f(int a, int b, int c, int d) {
         let parallel = parallel_exec.explore(&mut FirstK { left: 9 });
         assert!(serial.stats().pruned > 0, "the strategy must bite");
         assert_identical(&serial, &parallel);
-        assert!(parallel.stats().frontier.speculative_states > 0);
-        // The authoritative pass answers its checks from the sweep's
-        // shared trie.
-        assert!(parallel.stats().solver.shared_trie_hits > 0);
-    }
-
-    #[test]
-    fn sweep_feedback_shrinks_the_next_auto_grant() {
-        // An order-dependent strategy with a cost model whose speculative
-        // work is almost entirely unconsumed (it prunes every choice
-        // point): the measured consumption ratio of the first run must
-        // shrink the second run's automatic token grant.
-        #[derive(Clone)]
-        struct PrunesEverythingWithModel;
-        impl Strategy for PrunesEverythingWithModel {
-            fn should_explore(&mut self, _node: dise_cfg::NodeId) -> bool {
-                false
-            }
-            fn speculation_cost(&self) -> Option<crate::heuristic::ScoreModel> {
-                Some(crate::heuristic::ScoreModel::new(
-                    crate::heuristic::HeuristicWeights::default(),
-                    Arc::new(crate::heuristic::FeatureMaps {
-                        distance: Vec::new(),
-                        uncovered: Vec::new(),
-                        cone: Vec::new(),
-                        trie_depth: Vec::new(),
-                        affected_total: 4,
-                    }),
-                ))
-            }
-        }
-        let program = parse_program(WIDE).unwrap();
-        let mut exec = Executor::new(
-            &program,
-            "f",
-            ExecConfig {
-                jobs: 4,
-                sweep_budget: crate::frontier::SweepBudget::Auto,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        let first = exec.explore(&mut PrunesEverythingWithModel);
-        let first_grant = first.stats().frontier.sweep_budget;
-        assert_eq!(
-            first_grant,
-            4 * crate::frontier::budget::TOKENS_PER_AFFECTED_NODE,
-            "first grant is the unscaled proportional default"
-        );
-        assert!(first.stats().frontier.speculative_states > 0);
-        let second = exec.explore(&mut PrunesEverythingWithModel);
-        let second_grant = second.stats().frontier.sweep_budget;
-        assert!(
-            second_grant < first_grant,
-            "low measured consumption ({} of {} states) must shrink the \
-             grant, got {second_grant} after {first_grant}",
-            first.stats().frontier.trie_answers_consumed,
-            first.stats().frontier.speculative_states,
-        );
+        assert_eq!(parallel.stats().frontier, FrontierStats::default());
+        assert_eq!(parallel.stats().solver, serial.stats().solver);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::executor::{
     classify_entry, push_succ_lits, successor_candidates, EntryKind, ExecConfig, ExecStats,
     FilterScope, PathOutcome, PathSummary, Strategy, Succ,
 };
-use crate::frontier::budget::BudgetController;
 use crate::frontier::pool::{Pool, Task};
 use crate::state::SymState;
 use crate::summary::SummaryTable;
@@ -46,10 +45,8 @@ pub(crate) struct Worker<'a> {
     pub solver: IncrementalSolver,
     pub strategy: Box<dyn Strategy + Send>,
     pub pool: &'a Pool,
-    /// `None` in the speculative sweep: paths are not materialized at all.
-    pub results: Option<&'a Mutex<Vec<PositionedPath>>>,
-    /// The sweep's admission controller (`None` in fork mode).
-    pub budget: Option<&'a BudgetController>,
+    /// Recorded paths of every worker, merged by position at the end.
+    pub results: &'a Mutex<Vec<PositionedPath>>,
     /// Procedure summaries for call-node dispatch (`None` on inlined
     /// CFGs).
     pub summaries: Option<&'a SummaryTable>,
@@ -61,11 +58,7 @@ impl Worker<'_> {
     /// Drains the pool. Called once per worker thread.
     pub fn run(mut self, solver_before: &SolverStats) -> WorkerOutcome {
         while let Some(task) = self.pool.next(self.me) {
-            // An exhausted sweep budget drains remaining tasks unrun (the
-            // outstanding count still has to reach zero for termination).
-            if self.budget.is_none_or(|b| !b.exhausted()) {
-                self.run_task(task);
-            }
+            self.run_task(task);
             self.pool.finish();
         }
         let solver = self.solver.stats().delta_since(solver_before);
@@ -101,12 +94,6 @@ impl Worker<'_> {
         }
     }
 
-    /// Whether path recording is active (the speculative sweep records
-    /// nothing).
-    fn recording(&self) -> bool {
-        self.results.is_some()
-    }
-
     fn record(
         &mut self,
         pos: &[u32],
@@ -114,16 +101,13 @@ impl Worker<'_> {
         outcome: PathOutcome,
         trace: &[dise_cfg::NodeId],
     ) {
-        let Some(results) = self.results else {
-            return;
-        };
         let summary = PathSummary {
             pc: state.pc.clone(),
             outcome,
             final_env: state.env.clone(),
             trace: trace.to_vec(),
         };
-        results
+        self.results
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push((pos.to_vec(), summary));
@@ -176,7 +160,7 @@ impl Worker<'_> {
             root = false;
             if filtered && !self.strategy.should_explore(state.node) {
                 self.stats.pruned += 1;
-                if self.recording() && self.config.record_pruned {
+                if self.config.record_pruned {
                     let mut pruned_trace = trace.clone();
                     pruned_trace.push(state.node);
                     self.record(&pos, &state, PathOutcome::Pruned, &pruned_trace);
@@ -184,20 +168,12 @@ impl Worker<'_> {
                 break;
             }
 
-            // Entry (the serial engine's `enter`). Speculative states
-            // additionally charge the sweep's token budget; a dry pool
-            // ends the spine (and `run` drains the rest of the deques).
-            if let Some(budget) = self.budget {
-                if !budget.try_charge() {
-                    break;
-                }
-                budget.note_state(state.node.index());
-            }
+            // Entry (the serial engine's `enter`).
             if !self.pool.try_enter_state() {
                 break;
             }
             self.stats.states_explored += 1;
-            if self.recording() && self.config.record_traces {
+            if self.config.record_traces {
                 trace.push(state.node);
             }
             // Terminal classification shared with the serial engine
@@ -234,13 +210,6 @@ impl Worker<'_> {
             );
             if succs.is_empty() {
                 break;
-            }
-            // On the sweep nothing is recorded, so candidate order is free:
-            // spend budget on arms near the affected region first.
-            if !self.recording() {
-                if let Some(budget) = self.budget {
-                    budget.order_arms(&mut succs);
-                }
             }
             // Offload every candidate but the first; the prefix snapshot
             // is the current solver stack (root-contiguous by

@@ -21,12 +21,11 @@
 //! paper's pseudocode (a successor's filter runs only after the previous
 //! successor's entire subtree finished).
 //!
-//! With [`ExecConfig::jobs`] > 1 the [`frontier`] module takes over:
-//! forkable strategies are explored by a work-stealing pool with a merged,
-//! byte-identical summary; order-dependent strategies (the directed
-//! search) get a budgeted speculative solver sweep
-//! ([`frontier::budget`], [`SweepBudget`]) followed by the unchanged
-//! serial authoritative pass.
+//! With [`ExecConfig::jobs`] > 1 the [`frontier`] module takes over for
+//! forkable strategies ([`Strategy::fork`]): a work-stealing pool with a
+//! merged, byte-identical summary. Order-dependent strategies (the
+//! directed search) cannot be forked and run on the serial engine at any
+//! `jobs`.
 //!
 //! Two companion engines share the CFG and the evaluation semantics:
 //!
@@ -63,7 +62,6 @@ pub mod env;
 pub mod eval;
 pub mod executor;
 pub mod frontier;
-pub mod heuristic;
 pub mod state;
 pub mod summary;
 pub mod tree;
@@ -72,11 +70,10 @@ pub use concolic::{ConcolicExecutor, ConcolicRun};
 pub use concrete::{ConcreteConfig, ConcreteExecutor, ConcreteOutcome, ConcreteRun, ValueEnv};
 pub use env::Env;
 pub use executor::{
-    ExecConfig, ExecError, ExecStats, Executor, FilterScope, FullExploration, PathOutcome,
-    PathSummary, Strategy, SymbolicSummary, WarmHandoff,
+    ExecConfig, ExecError, ExecStats, Executor, FilterScope, FullExploration, HeuristicChoice,
+    PathOutcome, PathSummary, Strategy, SweepBudget, SymbolicSummary, WarmHandoff,
 };
-pub use frontier::{FrontierStats, SweepBudget, TOKENS_PER_AFFECTED_NODE};
-pub use heuristic::{FeatureMaps, HeuristicChoice, HeuristicWeights, ScoreModel};
+pub use frontier::FrontierStats;
 pub use state::SymState;
 pub use summary::{
     build_summary, ProcSummary, SummaryBuildError, SummaryMode, SummaryStats, SummaryTable,

@@ -2,8 +2,8 @@
 //! recursive-descent parser for schema validation. No external crates.
 //!
 //! The parser keeps integers exact ([`JsonValue::UInt`]/[`JsonValue::Int`]
-//! rather than lossy `f64`) so sentinel values like an unlimited sweep
-//! budget (`u64::MAX`) survive a round trip.
+//! rather than lossy `f64`) so sentinel values like `u64::MAX` survive a
+//! round trip.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

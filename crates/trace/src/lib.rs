@@ -10,8 +10,8 @@
 //! * **Metrics** ([`MetricsRegistry`]): a sorted name → value map with a
 //!   [`Stability`] class per metric. The *stable* subset is byte-identical
 //!   across `DISE_JOBS` settings; timings and solver activity are
-//!   *volatile*. The human-readable `solver:`/`sweep:`/`stages:`/
-//!   `store:`/`summaries:` stat lines are re-derived from this registry.
+//!   *volatile*. The human-readable `solver:`/`stages:`/`store:`/
+//!   `summaries:` stat lines are re-derived from this registry.
 //! * **Exporters** ([`event_log`], [`chrome_trace`], [`render_profile`],
 //!   [`stats_record`]): the versioned `--trace-json` JSONL log (schema
 //!   [`TRACE_SCHEMA_VERSION`], checked by [`validate_log`]), a Chrome

@@ -2,8 +2,10 @@
 //! `jobs = 4` exploration must produce a summary whose paths, path
 //! conditions, outcomes, environments, traces, and structural counters
 //! are byte-identical to the serial run's — for full exploration (fork
-//! mode) and for the directed DiSE pipeline (speculative mode) alike.
-//! Only timing and solver-cache counters may differ.
+//! mode) and for the directed DiSE pipeline alike. Only timing and
+//! solver-cache counters of full runs may differ: the directed strategy
+//! is order-dependent, so it runs on the serial engine at any `jobs` and
+//! does exactly the serial run's solver work.
 
 use dise::artifacts::{asw, figures, oae, wbs};
 use dise::core::dise::{run_dise, run_full_on, DiseConfig};
@@ -68,6 +70,16 @@ fn check_dise(name: &str, base: &Program, modified: &Program, proc_name: &str) {
     assert_eq!(serial.changed_nodes, parallel.changed_nodes);
     assert_eq!(serial.affected_nodes, parallel.affected_nodes);
     assert_identical(&format!("{name} dise"), &serial.summary, &parallel.summary);
+    let (s, p) = (serial.summary.stats(), parallel.summary.stats());
+    assert_eq!(
+        p.frontier.workers, 0,
+        "{name}: directed runs must not engage the frontier"
+    );
+    assert_eq!(
+        s.solver.pipeline_checks(),
+        p.solver.pipeline_checks(),
+        "{name}: jobs 4 must do exactly the serial solver work"
+    );
 }
 
 #[test]

@@ -229,23 +229,3 @@ fn corruption_falls_back_to_cold_without_poisoning_results() {
         std::fs::remove_dir_all(dir).ok();
     }
 }
-
-#[test]
-fn one_shot_runs_inherit_the_measured_sweep_feedback() {
-    // PR 3 measured the sweep-consumption ratio but only reused it when
-    // the same Executor object ran twice. With a store, two *separate*
-    // parallel directed runs observe it: the second run's Auto grant is
-    // scaled by the first run's measured ratio.
-    let artifact = oae::artifact();
-    let version = &artifact.version("v4").unwrap().program;
-    let dir = temp_dir("feedback");
-    let store_cfg = config(4, Some(dir.clone()));
-
-    let first = run(&artifact.base, version, artifact.proc_name, &store_cfg);
-    let second = run(&artifact.base, version, artifact.proc_name, &store_cfg);
-    let status = second.store.as_ref().expect("store configured");
-    assert!(status.feedback_reused, "stored ratio must reach run two");
-    // Results stay identical regardless of the budget the feedback chose.
-    assert_identical("feedback", &first.summary, &second.summary);
-    std::fs::remove_dir_all(dir).ok();
-}
