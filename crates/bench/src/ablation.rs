@@ -1,6 +1,7 @@
-//! The DESIGN.md ablation: the paper's `IsCFGPath` data-flow premise
-//! versus precise reaching definitions (with the write-chain closure) in
-//! the affected-location rules.
+//! The precision ablation (ARCHITECTURE.md, "Affected locations"): the
+//! paper's `IsCFGPath` data-flow premise versus precise reaching
+//! definitions (with the write-chain closure) in the affected-location
+//! rules.
 
 use dise_artifacts::{asw, oae, wbs, Artifact};
 use dise_core::dise::{run_dise, DiseConfig};
@@ -93,8 +94,8 @@ pub fn filter_scope() {
     println!("last affected node is consumed no successor can reach an unexplored one and");
     println!("every path dies before the exit (0 PCs); ASW/OAE paths reach the exit directly");
     println!("from a choice point, where the terminal rule still applies. The paper's full");
-    println!("Table 2 is only reproducible with choice-point states (DESIGN.md, fidelity");
-    println!("notes) — this table is the measured justification for that reading.");
+    println!("Table 2 is only reproducible with choice-point states (ARCHITECTURE.md,");
+    println!("fidelity notes) — this table is the measured justification for that reading.");
 }
 
 fn measure(artifact: &Artifact) -> Vec<Vec<String>> {

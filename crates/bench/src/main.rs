@@ -9,7 +9,7 @@
 //! dise-bench table2 [wbs|oae|asw|all]   # Table 2 — cost & effectiveness
 //! dise-bench table3 [wbs|oae|asw|all]   # Table 3 — regression testing
 //! dise-bench summary           # §4.2.5 — RQ1/RQ2 aggregate ratios
-//! dise-bench ablation          # DESIGN.md ablation: CfgPath vs ReachingDefs
+//! dise-bench ablation          # precision ablation: CfgPath vs ReachingDefs
 //! dise-bench witnesses         # evolution: diverging vs equivalent affected PCs
 //! dise-bench localize          # evolution: fault-localization accuracy
 //! dise-bench impact            # evolution: system-level incremental analysis

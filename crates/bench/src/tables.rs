@@ -186,7 +186,7 @@ pub fn summary() {
     print!("{}", table.render());
     println!("\npaper's headline (§4.2.5): when changes affect only a subset of paths, DiSE takes");
     println!("at most 20% of full symbolic execution; when everything is affected, DiSE pays a");
-    println!("9–30% overhead for the static analysis. See EXPERIMENTS.md for the mapping.");
+    println!("9–30% overhead for the static analysis.");
 }
 
 fn median(values: &mut [f64]) -> f64 {

@@ -157,6 +157,18 @@ pub struct Cfg {
 }
 
 impl Cfg {
+    /// A CFG over a hand-built graph, for shapes `build_cfg` never emits
+    /// (every node it builds can reach `end`).
+    #[cfg(test)]
+    pub(crate) fn from_graph(graph: DiGraph<CfgNode>, begin: NodeId, end: NodeId) -> Cfg {
+        Cfg {
+            proc_name: "test".to_string(),
+            graph,
+            begin,
+            end,
+        }
+    }
+
     /// The name of the procedure this CFG was built from.
     pub fn proc_name(&self) -> &str {
         &self.proc_name

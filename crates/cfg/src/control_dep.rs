@@ -4,6 +4,12 @@
 //! `nl` such that `nj` post-dominates `nk` but not `nl` — that is, taking
 //! one edge out of `ni` commits execution to reaching `nj` while the other
 //! edge can avoid it. We say "`nj` is control-dependent on `ni`".
+//!
+//! [`ControlDeps::new`] finds each branch's dependents by walking the
+//! post-dominator tree from every successor up to the branch's immediate
+//! post-dominator (Ferrante, Ottenstein and Warren's construction), so its
+//! cost is the size of the relation, not one `postDom` query per node
+//! pair.
 
 use crate::build::Cfg;
 use crate::dominator::PostDomTree;
@@ -21,7 +27,7 @@ pub struct ControlDeps {
 
 impl ControlDeps {
     /// Computes control dependences from the CFG and its post-dominator
-    /// tree.
+    /// tree. Both directions list their nodes in ascending order.
     ///
     /// # Examples
     ///
@@ -48,22 +54,30 @@ impl ControlDeps {
             if succs.len() < 2 {
                 continue;
             }
-            for nj in cfg.node_ids() {
-                // Definition 3.9: some successor pair splits on whether nj
-                // post-dominates it.
-                let mut postdominated = false;
-                let mut avoided = false;
-                for &(succ, _) in succs {
-                    if postdom.post_dominates(succ, nj) {
-                        postdominated = true;
-                    } else {
-                        avoided = true;
-                    }
+            // The nodes post-dominating every successor are `ipostdom(ni)`
+            // and its ancestors, so the nodes post-dominating some but not
+            // all successors sit on the tree paths from each successor up
+            // to `ipostdom(ni)`, exclusive. A successor that cannot reach
+            // `end` is post-dominated by nothing; then every post-dominator
+            // of another successor qualifies, and the walk runs to the
+            // root inclusive.
+            let stop = if succs.iter().all(|&(s, _)| postdom.reaches_end(s)) {
+                postdom.ipostdom(ni)
+            } else {
+                None
+            };
+            let deps = &mut dependents[ni.index()];
+            for &(succ, _) in succs {
+                let mut cur = Some(succ).filter(|&s| postdom.reaches_end(s));
+                while let Some(nj) = cur.filter(|&n| Some(n) != stop) {
+                    deps.push(nj);
+                    cur = postdom.ipostdom(nj);
                 }
-                if postdominated && avoided {
-                    deps_of[nj.index()].push(ni);
-                    dependents[ni.index()].push(nj);
-                }
+            }
+            deps.sort_unstable();
+            deps.dedup();
+            for &nj in deps.iter() {
+                deps_of[nj.index()].push(ni);
             }
         }
         ControlDeps {
@@ -196,23 +210,14 @@ proc update(int PedalPos, int BSwitch, int PedalCmd) {
         assert!(cd.control_d(branch, error));
     }
 
-    /// Brute-force check of Definition 3.9 against the optimized
-    /// implementation on a nested example.
-    #[test]
-    fn matches_brute_force_definition() {
-        let (cfg, cd) = setup(
-            "proc f(int x, int y) {
-               if (x > 0) {
-                 if (y > 0) { x = 1; } else { x = 2; }
-                 y = 5;
-               }
-               while (y > 0) { y = y - 1; }
-             }",
-        );
-        let postdom = PostDomTree::new(&cfg);
+    /// Checks `cd` against Definition 3.9 verbatim — one `postDom` query
+    /// per branch, node and successor pair — and checks that both
+    /// directions are listed in ascending order.
+    fn assert_matches_brute_force(cfg: &Cfg, cd: &ControlDeps) {
+        let postdom = PostDomTree::new(cfg);
         for ni in cfg.node_ids() {
+            let succs = cfg.succs(ni);
             for nj in cfg.node_ids() {
-                let succs = cfg.succs(ni);
                 let mut expected = false;
                 for (a, &(nk, _)) in succs.iter().enumerate() {
                     for (b, &(nl, _)) in succs.iter().enumerate() {
@@ -231,6 +236,97 @@ proc update(int PedalPos, int BSwitch, int PedalCmd) {
                     "mismatch for controlD({ni}, {nj})"
                 );
             }
+            assert!(cd.dependents(ni).windows(2).all(|w| w[0] < w[1]));
+            assert!(cd.deps_of(ni).windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn matches_brute_force_definition() {
+        let (cfg, cd) = setup(
+            "proc f(int x, int y) {
+               if (x > 0) {
+                 if (y > 0) { x = 1; } else { x = 2; }
+                 y = 5;
+               }
+               while (y > 0) { y = y - 1; }
+             }",
+        );
+        assert_matches_brute_force(&cfg, &cd);
+    }
+
+    #[test]
+    fn constant_loops_keep_their_exit_edge() {
+        // The CFG does not fold `true`: the loop keeps its false edge, so
+        // every node still reaches `end` and the ordinary walk applies.
+        for src in [
+            "proc f(int x) { if (x > 0) { while (true) { x = x + 1; } } x = 2; }",
+            "proc f(int x, int y) {
+               if (x > 0) {
+                 if (y > 0) { while (true) { y = y + 1; } }
+                 x = 1;
+               }
+               while (true) { if (y > x) { y = y - 1; } }
+               x = 2;
+             }",
+        ] {
+            let (cfg, cd) = setup(src);
+            let postdom = PostDomTree::new(&cfg);
+            assert!(cfg.node_ids().all(|n| postdom.reaches_end(n)));
+            assert_matches_brute_force(&cfg, &cd);
+        }
+    }
+
+    /// Builds a CFG of `Nop` nodes over `edges`; node 0 is `begin` and the
+    /// last node is `end`.
+    fn graph_cfg(nodes: usize, edges: &[(u32, u32)]) -> Cfg {
+        let mut graph = crate::graph::DiGraph::new();
+        for _ in 0..nodes {
+            graph.add_node(crate::build::CfgNode {
+                kind: crate::build::NodeKind::Nop,
+                span: dise_ir::span::Span::dummy(),
+                role: crate::build::OriginRole::Primary,
+            });
+        }
+        for &(from, to) in edges {
+            graph.add_edge(NodeId(from), NodeId(to), crate::graph::EdgeLabel::Seq);
+        }
+        Cfg::from_graph(graph, NodeId(0), NodeId(nodes as u32 - 1))
+    }
+
+    #[test]
+    fn successor_that_cannot_reach_end() {
+        // begin → b; b → spin (a loop with no way out) | after; after → end.
+        // Nothing post-dominates `spin`, so every post-dominator of the
+        // other edge — `after` and `end` itself — depends on `b`.
+        let cfg = graph_cfg(5, &[(0, 1), (1, 2), (1, 3), (2, 2), (3, 4)]);
+        let cd = ControlDeps::new(&cfg, &PostDomTree::new(&cfg));
+        assert_eq!(cd.dependents(NodeId(1)), &[NodeId(3), NodeId(4)]);
+        assert_eq!(cd.deps_of(NodeId(2)), &[]);
+        assert_matches_brute_force(&cfg, &cd);
+    }
+
+    #[test]
+    fn nested_successor_that_cannot_reach_end() {
+        // begin → b1; b1 → b2 | after; b2 → spin | mid; mid → after;
+        // after → end; spin → spin. The inner branch walks to the root;
+        // the outer one stops at its post-dominator `after`.
+        let cfg = graph_cfg(
+            7,
+            &[
+                (0, 1),
+                (1, 2),
+                (1, 5),
+                (2, 3),
+                (2, 4),
+                (3, 3),
+                (4, 5),
+                (5, 6),
+            ],
+        );
+        let cd = ControlDeps::new(&cfg, &PostDomTree::new(&cfg));
+        assert_eq!(cd.dependents(NodeId(2)), &[NodeId(4), NodeId(5), NodeId(6)]);
+        assert_eq!(cd.dependents(NodeId(1)), &[NodeId(2), NodeId(4)]);
+        assert_matches_brute_force(&cfg, &cd);
     }
 }

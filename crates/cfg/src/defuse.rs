@@ -1,7 +1,8 @@
 //! The `Def` and `Use` maps (Definitions 3.6 and 3.7) and the variable set
-//! `Vars` (Definition 3.3).
+//! `Vars` (Definition 3.3), plus the per-variable index that answers
+//! "who reads/writes `v`" without scanning every node.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::build::{Cfg, NodeKind};
 use crate::graph::NodeId;
@@ -15,6 +16,10 @@ pub struct DefUse {
     uses: Vec<BTreeSet<String>>,
     /// All variables read or written in the procedure (Definition 3.3).
     vars: BTreeSet<String>,
+    /// `readers[v]` = the nodes with `v ∈ Use(n)`, ascending.
+    readers: BTreeMap<String, Vec<NodeId>>,
+    /// `writers[v]` = the nodes with `Def(n) = v`, ascending.
+    writers: BTreeMap<String, Vec<NodeId>>,
 }
 
 impl DefUse {
@@ -71,7 +76,23 @@ impl DefUse {
                 NodeKind::Begin | NodeKind::End | NodeKind::Error { .. } | NodeKind::Nop => {}
             }
         }
-        DefUse { def, uses, vars }
+        let mut readers: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        let mut writers: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        for id in cfg.node_ids() {
+            if let Some(var) = &def[id.index()] {
+                writers.entry(var.clone()).or_default().push(id);
+            }
+            for var in &uses[id.index()] {
+                readers.entry(var.clone()).or_default().push(id);
+            }
+        }
+        DefUse {
+            def,
+            uses,
+            vars,
+            readers,
+            writers,
+        }
     }
 
     /// `Def(n)`: the variable defined at `n`, or `None` (the paper's `⊥`).
@@ -88,6 +109,30 @@ impl DefUse {
     /// `Vars`: every variable read or written in the procedure.
     pub fn vars(&self) -> &BTreeSet<String> {
         &self.vars
+    }
+
+    /// The nodes reading `var`, ascending.
+    pub(crate) fn uses_of(&self, var: &str) -> &[NodeId] {
+        self.readers.get(var).map_or(&[], Vec::as_slice)
+    }
+
+    /// The nodes defining `var`, ascending.
+    pub(crate) fn defs_of(&self, var: &str) -> &[NodeId] {
+        self.writers.get(var).map_or(&[], Vec::as_slice)
+    }
+
+    /// The nodes `nj` with [`DefUse::def_feeds_use`]`(ni, nj)`, ascending.
+    pub fn fed_by(&self, ni: NodeId) -> &[NodeId] {
+        self.def(ni).map_or(&[], |var| self.uses_of(var))
+    }
+
+    /// The nodes `ni` with [`DefUse::def_feeds_use`]`(ni, nj)`: the
+    /// definitions of each variable `nj` reads, grouped by variable.
+    pub fn feeding(&self, nj: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.uses(nj)
+            .iter()
+            .flat_map(|var| self.defs_of(var))
+            .copied()
     }
 
     /// Returns `true` if the definition at `ni` is used at `nj`
@@ -162,6 +207,30 @@ mod tests {
         assert!(du.def_feeds_use(write, cond));
         assert!(!du.def_feeds_use(cond, write)); // Def(cond) = ⊥
         assert!(!du.def_feeds_use(write, write)); // x = y+1 does not read x
+    }
+
+    #[test]
+    fn index_agrees_with_def_feeds_use() {
+        let (cfg, du) = setup(
+            "proc f(int x, int y) { x = y + 1; if (x > y) { y = x; } x = x + y; assert(y > 0); }",
+        );
+        for ni in cfg.node_ids() {
+            let fed: Vec<NodeId> = cfg
+                .node_ids()
+                .filter(|&nj| du.def_feeds_use(ni, nj))
+                .collect();
+            assert_eq!(du.fed_by(ni), fed.as_slice());
+            let mut feeding: Vec<NodeId> = du.feeding(ni).collect();
+            feeding.sort();
+            let expected: Vec<NodeId> = cfg
+                .node_ids()
+                .filter(|&nk| du.def_feeds_use(nk, ni))
+                .collect();
+            assert_eq!(feeding, expected);
+        }
+        assert_eq!(du.defs_of("x").len(), 2);
+        assert_eq!(du.uses_of("y").len(), 4);
+        assert!(du.uses_of("z").is_empty());
     }
 
     #[test]

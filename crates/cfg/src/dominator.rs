@@ -203,9 +203,17 @@ impl PostDomTree {
         self.tree.dominates(nj, ni)
     }
 
-    /// The immediate post-dominator of `n` (`None` for the exit node).
+    /// The immediate post-dominator of `n` (`None` for the exit node and
+    /// for nodes that cannot reach it).
     pub fn ipostdom(&self, n: NodeId) -> Option<NodeId> {
         self.tree.idom(n)
+    }
+
+    /// Is `n` in the tree, i.e. can it reach the exit node? A node that
+    /// cannot (on a loop with no exit edge) is post-dominated by nothing,
+    /// not even itself.
+    pub(crate) fn reaches_end(&self, n: NodeId) -> bool {
+        self.tree.idom[n.index()].is_some()
     }
 }
 

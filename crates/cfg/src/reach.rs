@@ -86,6 +86,14 @@ impl Reachability {
         self.rows[base + nj.index() / 64] & (1 << (nj.index() % 64)) != 0
     }
 
+    /// The closure row of `n` as bitset words: bit `j % 64` of word
+    /// `j / 64` is set when `IsCFGPath(n, nj)`. Every row has the same
+    /// length, `len().div_ceil(64)` words.
+    pub fn row(&self, n: NodeId) -> &[u64] {
+        let base = n.index() * self.words_per_row;
+        &self.rows[base..base + self.words_per_row]
+    }
+
     /// Iterates over every node reachable from `n` (including `n`).
     pub fn reachable_from(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let base = n.index() * self.words_per_row;

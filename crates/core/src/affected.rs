@@ -17,15 +17,45 @@
 //! (4) ni ∈ Write ∧ nj ∈ ACN ∪ AWN ∧ Def(ni) ∈ Use(nj) ∧ IsCFGPath(ni, nj) ⇒ AWN ∪= {ni}
 //! ```
 //!
-//! Rules (1)–(3) run to a fixed point first, then rule (4) (Fig. 4) runs
-//! to a fixed point; the pair is repeated until globally stable (a
-//! conservative superset of the paper's single pass — on the paper's own
-//! example the result is identical, which the golden tests pin down).
+//! plus a chain rule ([`Rule::Chain`]) that closes flows through copies.
 //!
-//! One deliberate deviation, documented in DESIGN.md: changed/added nodes
-//! that are neither writes nor conditionals (`skip`, `return` markers) are
-//! seeded into `AWN` so the directed phase still steers exploration toward
-//! them; having `Def = ⊥` they trigger no data-flow rules.
+//! # The phased worklist
+//!
+//! The rules run in three phases, repeated until none adds a node: rules
+//! (1)–(3) to a fixed point, then rule (4) (Fig. 4) to a fixed point, then
+//! the chain rule to a fixed point. This is a conservative superset of
+//! the paper's single pass; on the paper's own example the result is
+//! identical, which the golden tests pin down.
+//!
+//! Every added node goes onto one insertion log, and each rule keeps a
+//! cursor into it, so a phase looks only at the nodes added since it last
+//! ran. Each premise is a lookup, not a scan:
+//!
+//! * rules (1)/(2) read [`ControlDeps::dependents`] of a new `ACN` node;
+//! * rule (3) and the chain rule read the users of a new `AWN` node's
+//!   definition ([`DefUse::fed_by`]);
+//! * rule (4) reads the definitions of each variable a new affected node
+//!   uses ([`DefUse::feeding`]);
+//!
+//! and the `IsCFGPath` half of the data-flow premise is one bit test in
+//! the shared [`Reachability`]. So the fixpoint costs about the size of
+//! the control-dependence and def-use relations it walks, instead of one
+//! round of `|AWN|·|Cond| + |Write|·|ACN ∪ AWN|` premise tests per round.
+//! [`ControlDeps::new`] is a post-dominator tree walk of the same order.
+//!
+//! Each phase replays the rounds of a plain "re-test every pair" loop —
+//! nodes in ascending order, each round against the sets as they were at
+//! its start, rule (4) as one ascending scan of the writes per round — so
+//! nodes enter in the same order, under the same rule, as in that loop,
+//! and the Fig. 5(b) trace comes out row for row the same.
+//! `tests/affected_worklist.rs` keeps that loop as an oracle and checks
+//! both against each other.
+//!
+//! One deliberate deviation (ARCHITECTURE.md, "Affected locations"):
+//! changed/added nodes that are neither writes nor conditionals (`skip`,
+//! `return` markers) are seeded into `AWN` so the directed phase still
+//! steers exploration toward them; having `Def = ⊥` they trigger no
+//! data-flow rules.
 //!
 //! The optional [`DataflowPrecision::ReachingDefs`] mode replaces the
 //! `Def(ni) ∈ Use(nj) ∧ IsCFGPath(ni, nj)` premise of rules (3)/(4) with a
@@ -34,9 +64,12 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use dise_cfg::dataflow::ReachingDefs;
 use dise_cfg::{Cfg, ControlDeps, DefUse, NodeId, PostDomTree, Reachability};
+use dise_diff::CfgDiff;
+use dise_trace::TraceHandle;
 
 /// Which rule fired (for the Fig. 5(b) trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +87,10 @@ pub enum Rule {
     /// without this closure a change propagating through a copy chain
     /// (`A = changed; B = A; if (B > 0) …`) never reaches the downstream
     /// conditional and the affected region is cut short (historically:
-    /// zero affected path conditions on the WBS/OAE artifacts). Runs in
+    /// zero affected path conditions on the WBS/OAE artifacts, whose
+    /// command values flow through `AntiSkidCmd = BrakeCmd`-style staging
+    /// writes). Runs after Eq. (4), which keeps the Fig. 5(b) trace order
+    /// on programs whose flows the paper's rules already cover, and in
     /// both precision modes, under the mode's data-flow premise.
     Chain,
 }
@@ -97,12 +133,285 @@ pub enum DataflowPrecision {
     ReachingDefs,
 }
 
+/// Wall time of each sub-stage of the affected stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AffectedTimings {
+    /// The seeds: changed/added nodes plus the removed-node effects of
+    /// Fig. 5(a), which run the rules on the base CFG.
+    pub seeds: Duration,
+    /// Post-dominator tree.
+    pub postdom: Duration,
+    /// Control dependence.
+    pub control_deps: Duration,
+    /// `Def`/`Use` maps and their index (plus reaching definitions under
+    /// [`DataflowPrecision::ReachingDefs`]).
+    pub defuse: Duration,
+    /// The `IsCFGPath` closure.
+    pub reach: Duration,
+    /// The ACN/AWN fixpoint itself.
+    pub fixpoint: Duration,
+}
+
+/// The static facts the rules read, built once per CFG.
+#[derive(Debug, Clone)]
+struct CfgFacts {
+    /// `controlD` (Definition 3.9).
+    control: ControlDeps,
+    /// `Def`/`Use` (Definitions 3.6–3.7) with the per-variable index.
+    defuse: DefUse,
+    /// `IsCFGPath` (Definition 3.2).
+    reach: Reachability,
+    /// Reaching definitions, under [`DataflowPrecision::ReachingDefs`].
+    reaching: Option<ReachingDefs>,
+    /// How long each fact took to build (`seeds` and `fixpoint` stay
+    /// zero).
+    timings: AffectedTimings,
+}
+
+impl CfgFacts {
+    /// Builds the facts for `cfg`. With a `trace` handle, each analysis
+    /// gets its own span (`affected.postdom`, `affected.control_deps`,
+    /// `affected.defuse`, `affected.reach`) under the handle's parent.
+    fn new(cfg: &Cfg, precision: DataflowPrecision, trace: Option<&TraceHandle>) -> CfgFacts {
+        let mut timings = AffectedTimings::default();
+        let postdom = sub_stage(trace, "affected.postdom", &mut timings.postdom, || {
+            PostDomTree::new(cfg)
+        });
+        let control = sub_stage(
+            trace,
+            "affected.control_deps",
+            &mut timings.control_deps,
+            || ControlDeps::new(cfg, &postdom),
+        );
+        let (defuse, reaching) = sub_stage(trace, "affected.defuse", &mut timings.defuse, || {
+            let defuse = DefUse::new(cfg);
+            let reaching = (precision == DataflowPrecision::ReachingDefs)
+                .then(|| ReachingDefs::new(cfg, &defuse));
+            (defuse, reaching)
+        });
+        let reach = sub_stage(trace, "affected.reach", &mut timings.reach, || {
+            Reachability::new(cfg)
+        });
+        CfgFacts {
+            control,
+            defuse,
+            reach,
+            reaching,
+            timings,
+        }
+    }
+
+    /// The data-flow premise of rules (3)/(4) and the chain rule, for a
+    /// pair already known to satisfy `Def(ni) ∈ Use(nj)`.
+    fn flows(&self, ni: NodeId, nj: NodeId) -> bool {
+        match &self.reaching {
+            None => self.reach.is_cfg_path(ni, nj),
+            Some(rd) => rd.reaches(ni, nj),
+        }
+    }
+}
+
+/// Runs `f` as the sub-stage `name`: a span under `trace`'s parent when
+/// tracing, and its wall time into `spent` always.
+fn sub_stage<T>(
+    trace: Option<&TraceHandle>,
+    name: &str,
+    spent: &mut Duration,
+    f: impl FnOnce() -> T,
+) -> T {
+    let span = trace.map(|h| h.begin(name));
+    let start = Instant::now();
+    let value = f();
+    *spent = start.elapsed();
+    if let (Some(h), Some(span)) = (trace, span) {
+        h.end(span);
+    }
+    value
+}
+
+/// What the fixpoint did: stable structural counts, independent of
+/// scheduling and the clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FixpointStats {
+    /// Nodes the rules added on top of the seeds.
+    pub nodes_added: u64,
+    /// Phases run (three per pass over Fig. 3, Fig. 4 and the chain rule).
+    pub phases: u64,
+}
+
 /// The affected-location analysis result.
 #[derive(Debug, Clone)]
 pub struct AffectedSets {
     acn: BTreeSet<NodeId>,
     awn: BTreeSet<NodeId>,
     trace: Vec<TraceRow>,
+    stats: FixpointStats,
+}
+
+/// The fixpoint's working state: the sets, the insertion log the rule
+/// cursors walk, and the optional trace.
+struct Worklist<'a> {
+    cfg: &'a Cfg,
+    facts: &'a CfgFacts,
+    sets: AffectedSets,
+    /// `affected[n]`: `n ∈ ACN ∪ AWN` (the sets are disjoint: conditionals
+    /// only ever join `ACN`, everything else only `AWN`).
+    affected: Vec<bool>,
+    /// Every member, in insertion order.
+    log: Vec<NodeId>,
+    record_trace: bool,
+}
+
+impl<'a> Worklist<'a> {
+    fn is_cond(&self, n: NodeId) -> bool {
+        self.cfg.node(n).kind.is_cond()
+    }
+
+    fn is_write(&self, n: NodeId) -> bool {
+        self.cfg.node(n).kind.is_write()
+    }
+
+    /// Adds `n` to `ACN` (conditionals) or `AWN` (everything else);
+    /// `false` when it was already there.
+    fn add(&mut self, n: NodeId) -> bool {
+        if std::mem::replace(&mut self.affected[n.index()], true) {
+            return false;
+        }
+        if self.is_cond(n) {
+            self.sets.acn.insert(n);
+        } else {
+            self.sets.awn.insert(n);
+        }
+        self.log.push(n);
+        true
+    }
+
+    fn record(&mut self, ni: Option<NodeId>, nj: Option<NodeId>, rule: Option<Rule>) {
+        if self.record_trace {
+            self.sets.trace.push(TraceRow {
+                acn: self.sets.acn.clone(),
+                awn: self.sets.awn.clone(),
+                ni,
+                nj,
+                rule,
+            });
+        }
+    }
+
+    /// The members logged since `*cursor` that `keep` accepts, ascending;
+    /// advances the cursor to the end of the log.
+    fn take_new(&self, cursor: &mut usize, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+        let mut fresh: Vec<NodeId> = self.log[*cursor..]
+            .iter()
+            .copied()
+            .filter(|&n| keep(n))
+            .collect();
+        *cursor = self.log.len();
+        fresh.sort_unstable();
+        fresh
+    }
+
+    /// Rules (1)–(3) to a fixed point. Each round handles the `ACN` nodes
+    /// that were new at its start (Eq. 1/2), then the `AWN` nodes new
+    /// after that (Eq. 3).
+    fn fig3_phase(&mut self, eq12: &mut usize, eq3: &mut usize) {
+        loop {
+            let before = self.log.len();
+            for ni in self.take_new(eq12, |n| self.is_cond(n)) {
+                let facts = self.facts;
+                for &nj in facts.control.dependents(ni) {
+                    if self.is_cond(nj) && self.add(nj) {
+                        self.record(Some(ni), Some(nj), Some(Rule::Eq1));
+                    } else if self.is_write(nj) && self.add(nj) {
+                        self.record(Some(ni), Some(nj), Some(Rule::Eq2));
+                    }
+                }
+            }
+            for ni in self.take_new(eq3, |n| !self.is_cond(n)) {
+                let facts = self.facts;
+                for &nj in facts.defuse.fed_by(ni) {
+                    if self.is_cond(nj) && facts.flows(ni, nj) && self.add(nj) {
+                        self.record(Some(ni), Some(nj), Some(Rule::Eq3));
+                    }
+                }
+            }
+            if self.log.len() == before {
+                return;
+            }
+        }
+    }
+
+    /// Rule (4) to a fixed point. A round is one ascending scan of the
+    /// writes in which a write joins `AWN` if its definition flows to a
+    /// member; a write made eligible by a member added at a later scan
+    /// position joins in the same round, one made eligible behind the
+    /// scan position in the next.
+    fn eq4_phase(&mut self, cursor: &mut usize) {
+        let facts = self.facts;
+        let mut round = BTreeSet::new();
+        for nj in self.take_new(cursor, |_| true) {
+            round.extend(self.eligible_defs(nj));
+        }
+        let mut next = BTreeSet::new();
+        while !round.is_empty() {
+            while let Some(ni) = round.pop_first() {
+                if !self.add(ni) {
+                    continue;
+                }
+                if self.record_trace {
+                    // Report the first affected node (ACN, then AWN) the
+                    // definition flows to.
+                    let flows_to = |cond: bool| {
+                        facts.defuse.fed_by(ni).iter().copied().find(|&nj| {
+                            self.is_cond(nj) == cond
+                                && nj != ni
+                                && self.affected[nj.index()]
+                                && facts.flows(ni, nj)
+                        })
+                    };
+                    let target = flows_to(true).or_else(|| flows_to(false));
+                    self.record(Some(ni), target, Some(Rule::Eq4));
+                }
+                for nk in self.eligible_defs(ni) {
+                    if nk > ni {
+                        round.insert(nk);
+                    } else {
+                        next.insert(nk);
+                    }
+                }
+            }
+            std::mem::swap(&mut round, &mut next);
+        }
+        *cursor = self.log.len();
+    }
+
+    /// The non-member writes whose definition flows to `nj`.
+    fn eligible_defs(&self, nj: NodeId) -> Vec<NodeId> {
+        self.facts
+            .defuse
+            .feeding(nj)
+            .filter(|&ni| !self.affected[ni.index()] && self.facts.flows(ni, nj))
+            .collect()
+    }
+
+    /// The chain rule to a fixed point, a round over the `AWN` nodes new
+    /// at its start.
+    fn chain_phase(&mut self, cursor: &mut usize) {
+        loop {
+            let before = self.log.len();
+            for ni in self.take_new(cursor, |n| !self.is_cond(n)) {
+                let facts = self.facts;
+                for &nj in facts.defuse.fed_by(ni) {
+                    if self.is_write(nj) && facts.flows(ni, nj) && self.add(nj) {
+                        self.record(Some(ni), Some(nj), Some(Rule::Chain));
+                    }
+                }
+            }
+            if self.log.len() == before {
+                return;
+            }
+        }
+    }
 }
 
 impl AffectedSets {
@@ -115,163 +424,86 @@ impl AffectedSets {
         precision: DataflowPrecision,
         record_trace: bool,
     ) -> AffectedSets {
-        let postdom = PostDomTree::new(cfg);
-        let control = ControlDeps::new(cfg, &postdom);
-        let defuse = DefUse::new(cfg);
-        let reach = Reachability::new(cfg);
-        let reaching = match precision {
-            DataflowPrecision::CfgPath => None,
-            DataflowPrecision::ReachingDefs => Some(ReachingDefs::new(cfg, &defuse)),
-        };
+        let facts = CfgFacts::new(cfg, precision, None);
+        Self::compute_with(cfg, &facts, seeds, record_trace)
+    }
 
-        let mut acn = BTreeSet::new();
-        let mut awn = BTreeSet::new();
+    /// The session's affected stage on a diffed pair:
+    /// [`crate::removed::affected_seeds`], the facts of `cfg_mod`, then the
+    /// fixpoint, each timed as a sub-stage — a span under `trace`'s parent
+    /// when tracing, the fixpoint's carrying its [`FixpointStats`]. Also
+    /// returns `cfg_mod`'s reachability closure, which the directed
+    /// strategy reuses.
+    pub(crate) fn staged(
+        cfg_base: &Cfg,
+        cfg_mod: &Cfg,
+        diff: &CfgDiff,
+        precision: DataflowPrecision,
+        record_trace: bool,
+        trace: Option<&TraceHandle>,
+    ) -> (AffectedSets, Reachability, AffectedTimings) {
+        let mut seeds_time = Duration::ZERO;
+        let seeds = sub_stage(trace, "affected.seeds", &mut seeds_time, || {
+            crate::removed::affected_seeds(cfg_base, diff, precision)
+        });
+        let facts = CfgFacts::new(cfg_mod, precision, trace);
+        let span = trace.map(|h| h.begin("affected.fixpoint"));
+        let start = Instant::now();
+        let sets = Self::compute_with(cfg_mod, &facts, seeds, record_trace);
+        let timings = AffectedTimings {
+            seeds: seeds_time,
+            fixpoint: start.elapsed(),
+            ..facts.timings
+        };
+        if let (Some(h), Some(span)) = (trace, span) {
+            let counters = vec![
+                ("nodes_added".to_string(), sets.stats.nodes_added),
+                ("phases".to_string(), sets.stats.phases),
+            ];
+            h.end_with(span, counters);
+        }
+        (sets, facts.reach, timings)
+    }
+
+    /// [`AffectedSets::compute`] over facts already built for `cfg` (the
+    /// precision is the one the facts were built for).
+    fn compute_with(
+        cfg: &Cfg,
+        facts: &CfgFacts,
+        seeds: impl IntoIterator<Item = NodeId>,
+        record_trace: bool,
+    ) -> AffectedSets {
+        let mut work = Worklist {
+            cfg,
+            facts,
+            sets: AffectedSets::from_parts(BTreeSet::new(), BTreeSet::new()),
+            affected: vec![false; cfg.len()],
+            log: Vec::new(),
+            record_trace,
+        };
+        // Conditionals seed ACN; writes — and, conservatively, changed
+        // no-op/return/error nodes (Def = ⊥, so they only steer the
+        // directed search) — seed AWN.
         for seed in seeds {
-            let node = cfg.node(seed);
-            if node.kind.is_cond() {
-                acn.insert(seed);
-            } else {
-                // Writes — and, conservatively, changed no-op/return/error
-                // nodes (Def = ⊥, so they only steer the directed search).
-                awn.insert(seed);
-            }
+            work.add(seed);
         }
+        let seeded = work.log.len();
+        work.record(None, None, None);
 
-        let mut result = AffectedSets {
-            acn,
-            awn,
-            trace: Vec::new(),
-        };
-        if record_trace {
-            result.trace.push(TraceRow {
-                acn: result.acn.clone(),
-                awn: result.awn.clone(),
-                ni: None,
-                nj: None,
-                rule: None,
-            });
-        }
-
-        // The data-flow premise of rules (3) and (4).
-        let flows = |ni: NodeId, nj: NodeId| -> bool {
-            if !defuse.def_feeds_use(ni, nj) {
-                return false;
-            }
-            match &reaching {
-                None => reach.is_cfg_path(ni, nj),
-                Some(rd) => rd.reaches(ni, nj),
-            }
-        };
-
+        let mut cursors = [0usize; 4];
         loop {
-            let mut global_change = false;
-
-            // Fig. 3 rules to a fixed point.
-            loop {
-                let mut changed = false;
-                // Eq. (1) and Eq. (2).
-                for ni in result.acn.clone() {
-                    for &nj in control.dependents(ni) {
-                        let node = cfg.node(nj);
-                        if node.kind.is_cond() && result.acn.insert(nj) {
-                            changed = true;
-                            result.record(record_trace, ni, nj, Rule::Eq1);
-                        } else if node.kind.is_write() && result.awn.insert(nj) {
-                            changed = true;
-                            result.record(record_trace, ni, nj, Rule::Eq2);
-                        }
-                    }
-                }
-                // Eq. (3).
-                for ni in result.awn.clone() {
-                    for nj in cfg.cond_nodes() {
-                        if flows(ni, nj) && result.acn.insert(nj) {
-                            changed = true;
-                            result.record(record_trace, ni, nj, Rule::Eq3);
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-                global_change = true;
-            }
-
-            // Fig. 4 rule to a fixed point.
-            loop {
-                let mut changed = false;
-                for ni in cfg.write_nodes() {
-                    if result.awn.contains(&ni) {
-                        continue;
-                    }
-                    let affected_use = result
-                        .acn
-                        .iter()
-                        .chain(result.awn.iter())
-                        .any(|&nj| flows(ni, nj));
-                    if affected_use && result.awn.insert(ni) {
-                        changed = true;
-                        // For the trace, report the first affected node the
-                        // definition flows to.
-                        let nj = result
-                            .acn
-                            .iter()
-                            .chain(result.awn.iter())
-                            .copied()
-                            .find(|&nj| nj != ni && flows(ni, nj));
-                        if record_trace {
-                            result.trace.push(TraceRow {
-                                acn: result.acn.clone(),
-                                awn: result.awn.clone(),
-                                ni: Some(ni),
-                                nj,
-                                rule: Some(Rule::Eq4),
-                            });
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-                global_change = true;
-            }
-
-            // Chain rule, after the Fig. 4 pass: close affected flows
-            // through intermediate writes. Rules (3)/(4) require the
-            // *same* variable at both ends of a flow, so a change
-            // propagating through a copy chain (`A = changed; B = A;
-            // if (B > 0)`) is invisible to them — the copy defines a
-            // variable no affected node mentions, and the downstream
-            // conditional reads the copy, not the changed definition.
-            // Without this closure the affected region stops at the first
-            // copy and the directed search prunes every path at the next
-            // choice point past it: zero path conditions on the WBS/OAE
-            // artifacts, whose command values flow through
-            // `AntiSkidCmd = BrakeCmd`-style staging writes. Running it
-            // after Eq. (4) keeps the Fig. 5(b) trace order on programs
-            // whose flows the paper's rules already cover; `flows` applies
-            // the active precision mode's data-flow premise.
-            loop {
-                let mut changed = false;
-                for ni in result.awn.clone() {
-                    for nj in cfg.write_nodes() {
-                        if flows(ni, nj) && result.awn.insert(nj) {
-                            changed = true;
-                            result.record(record_trace, ni, nj, Rule::Chain);
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-                global_change = true;
-            }
-
-            if !global_change {
+            let before = work.log.len();
+            let [eq12, eq3, eq4, chain] = &mut cursors;
+            work.fig3_phase(eq12, eq3);
+            work.eq4_phase(eq4);
+            work.chain_phase(chain);
+            work.sets.stats.phases += 3;
+            if work.log.len() == before {
                 break;
             }
         }
-        result
+        work.sets.stats.nodes_added = (work.log.len() - seeded) as u64;
+        work.sets
     }
 
     /// Rebuilds an `AffectedSets` from raw node sets — the persistent
@@ -284,19 +516,13 @@ impl AffectedSets {
             acn,
             awn,
             trace: Vec::new(),
+            stats: FixpointStats::default(),
         }
     }
 
-    fn record(&mut self, enabled: bool, ni: NodeId, nj: NodeId, rule: Rule) {
-        if enabled {
-            self.trace.push(TraceRow {
-                acn: self.acn.clone(),
-                awn: self.awn.clone(),
-                ni: Some(ni),
-                nj: Some(nj),
-                rule: Some(rule),
-            });
-        }
+    /// What the fixpoint did (all zero for restored sets).
+    pub fn stats(&self) -> FixpointStats {
+        self.stats
     }
 
     /// The affected conditional nodes.

@@ -40,15 +40,63 @@ pub struct DirectedTraceRow {
     pub unex_cond: BTreeSet<NodeId>,
 }
 
+/// A node set as bitset words over node indices (the layout of a
+/// [`Reachability::row`]).
+type Words = Vec<u64>;
+
+fn has(words: &[u64], n: NodeId) -> bool {
+    words[n.index() / 64] & (1 << (n.index() % 64)) != 0
+}
+
+fn insert(words: &mut [u64], n: NodeId) {
+    words[n.index() / 64] |= 1 << (n.index() % 64);
+}
+
+fn remove(words: &mut [u64], n: NodeId) -> bool {
+    let present = has(words, n);
+    words[n.index() / 64] &= !(1 << (n.index() % 64));
+    present
+}
+
+/// The nodes of `word`, the `w`-th word of a set.
+fn word_members(w: usize, mut word: u64) -> impl Iterator<Item = NodeId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            NodeId((w * 64 + bit) as u32)
+        })
+    })
+}
+
+fn to_set(words: &[u64]) -> BTreeSet<NodeId> {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| word_members(w, word))
+        .collect()
+}
+
+/// Moves `nodes` that are in `from` over to `to`.
+fn transfer(from: &mut [u64], to: &mut [u64], w: usize, nodes: u64) {
+    let moved = from[w] & nodes;
+    from[w] &= !moved;
+    to[w] |= moved;
+}
+
 /// The Fig. 6 exploration strategy.
+///
+/// The four sets are bitsets over node indices, so `AffectedLocIsReachable`
+/// works a word at a time against the shared [`Reachability`] rows; they
+/// become `BTreeSet`s only in Table 1 trace rows.
 ///
 /// Deliberately not forkable ([`Strategy::fork`] keeps its `None`
 /// default): the explored-set resets depend on which sibling subtree ran
 /// first, so forked copies would diverge from the serial result. The
 /// executor therefore runs it serially at any `jobs`.
 #[derive(Debug, Clone)]
-pub struct DirectedStrategy {
-    reach: Reachability,
+pub struct DirectedStrategy<'r> {
+    reach: &'r Reachability,
     sccs: Sccs,
     /// Terminal nodes (exit / assertion-error): path conditions are
     /// emitted when a path terminates, so these bypass the
@@ -57,33 +105,52 @@ pub struct DirectedStrategy {
     /// would ever complete, contradicting the paper's own Table 1 run
     /// (which emits seven fully-formed path conditions).
     terminal: Vec<bool>,
-    ex_cond: BTreeSet<NodeId>,
-    ex_write: BTreeSet<NodeId>,
-    unex_cond: BTreeSet<NodeId>,
-    unex_write: BTreeSet<NodeId>,
+    ex_cond: Words,
+    ex_write: Words,
+    unex_cond: Words,
+    unex_write: Words,
+    /// Scratch for `should_explore`: `(word, explored nodes of the word
+    /// not yet known to need a reset, nodes to reset)`.
+    pending: Vec<(usize, u64, u64)>,
     current_path: Vec<NodeId>,
     trace: Option<Vec<DirectedTraceRow>>,
 }
 
-impl DirectedStrategy {
-    /// Builds the strategy for `cfg` from the affected sets. Non-write
-    /// affected "steering" nodes (see [`crate::affected`]) live in the
-    /// write sets, matching their `AWN` seeding.
-    pub fn new(cfg: &Cfg, affected: &AffectedSets, record_trace: bool) -> DirectedStrategy {
+impl<'r> DirectedStrategy<'r> {
+    /// Builds the strategy for `cfg` from the affected sets and the
+    /// CFG's reachability closure (the one the affected stage built).
+    /// Non-write affected "steering" nodes (see [`crate::affected`]) live
+    /// in the write sets, matching their `AWN` seeding.
+    pub fn new(
+        cfg: &Cfg,
+        affected: &AffectedSets,
+        reach: &'r Reachability,
+        record_trace: bool,
+    ) -> DirectedStrategy<'r> {
         let mut terminal = vec![false; cfg.len()];
         for n in cfg.node_ids() {
             use dise_cfg::NodeKind;
             terminal[n.index()] =
                 matches!(cfg.node(n).kind, NodeKind::End | NodeKind::Error { .. });
         }
+        let empty = vec![0; cfg.len().div_ceil(64)];
+        let mut unex_cond = empty.clone();
+        let mut unex_write = empty.clone();
+        for &n in affected.acn() {
+            insert(&mut unex_cond, n);
+        }
+        for &n in affected.awn() {
+            insert(&mut unex_write, n);
+        }
         DirectedStrategy {
-            reach: Reachability::new(cfg),
+            reach,
             sccs: Sccs::new(cfg),
             terminal,
-            ex_cond: BTreeSet::new(),
-            ex_write: BTreeSet::new(),
-            unex_cond: affected.acn().clone(),
-            unex_write: affected.awn().clone(),
+            ex_cond: empty.clone(),
+            ex_write: empty,
+            unex_cond,
+            unex_write,
+            pending: Vec::new(),
             current_path: Vec::new(),
             trace: record_trace.then(Vec::new),
         }
@@ -123,21 +190,21 @@ impl DirectedStrategy {
 
     /// `ResetUnExploredSet` (Fig. 6 lines 37–42).
     fn reset_unexplored(&mut self, n: NodeId) {
-        if self.ex_write.remove(&n) {
-            self.unex_write.insert(n);
+        if remove(&mut self.ex_write, n) {
+            insert(&mut self.unex_write, n);
         }
-        if self.ex_cond.remove(&n) {
-            self.unex_cond.insert(n);
+        if remove(&mut self.ex_cond, n) {
+            insert(&mut self.unex_cond, n);
         }
     }
 
     /// `UpdateExploredSet` (Fig. 6 lines 30–35).
     fn update_explored(&mut self, n: NodeId) {
-        if self.unex_write.remove(&n) {
-            self.ex_write.insert(n);
+        if remove(&mut self.unex_write, n) {
+            insert(&mut self.ex_write, n);
         }
-        if self.unex_cond.remove(&n) {
-            self.ex_cond.insert(n);
+        if remove(&mut self.unex_cond, n) {
+            insert(&mut self.ex_cond, n);
         }
     }
 
@@ -151,17 +218,17 @@ impl DirectedStrategy {
     }
 }
 
-impl Strategy for DirectedStrategy {
+impl Strategy for DirectedStrategy<'_> {
     fn on_enter(&mut self, node: NodeId) {
         self.update_explored(node);
         self.current_path.push(node);
         if let Some(trace) = &mut self.trace {
             trace.push(DirectedTraceRow {
                 state_seq: self.current_path.clone(),
-                ex_write: self.ex_write.clone(),
-                ex_cond: self.ex_cond.clone(),
-                unex_write: self.unex_write.clone(),
-                unex_cond: self.unex_cond.clone(),
+                ex_write: to_set(&self.ex_write),
+                ex_cond: to_set(&self.ex_cond),
+                unex_write: to_set(&self.unex_write),
+                unex_cond: to_set(&self.unex_cond),
             });
         }
     }
@@ -170,7 +237,13 @@ impl Strategy for DirectedStrategy {
         self.current_path.pop();
     }
 
-    /// `AffectedLocIsReachable` (Fig. 6 lines 13–24).
+    /// `AffectedLocIsReachable` (Fig. 6 lines 13–24): is some unexplored
+    /// node `nj` reachable from `node`? Every explored `nk` such an `nj`
+    /// reaches is reset to unexplored. The resets are decided against the
+    /// sets as they were on entry and applied at the end, as the paper's
+    /// loop over snapshots does. An `nk` reached from `nj` is reached
+    /// from `node` too, so only explored nodes in `node`'s row can reset,
+    /// and the scan stops once all of them have.
     fn should_explore(&mut self, node: NodeId) -> bool {
         // A path that has come this far emits its path condition when it
         // terminates; terminal states are never filtered.
@@ -178,30 +251,44 @@ impl Strategy for DirectedStrategy {
             return true;
         }
         self.check_loops(node);
-        let unexplored: Vec<NodeId> = self
-            .unex_write
-            .iter()
-            .chain(self.unex_cond.iter())
-            .copied()
-            .collect();
-        let explored: Vec<NodeId> = self
-            .ex_write
-            .iter()
-            .chain(self.ex_cond.iter())
-            .copied()
-            .collect();
+        let row = self.reach.row(node);
         let mut is_reachable = false;
-        for nj in unexplored {
-            if !self.reach.is_cfg_path(node, nj) {
-                continue;
+        self.pending.clear();
+        for (w, &reached) in row.iter().enumerate() {
+            if (self.unex_write[w] | self.unex_cond[w]) & reached != 0 {
+                is_reachable = true;
             }
-            is_reachable = true;
-            for &nk in &explored {
-                if !self.reach.is_cfg_path(nj, nk) {
-                    continue;
+            let explored = (self.ex_write[w] | self.ex_cond[w]) & reached;
+            if explored != 0 {
+                self.pending.push((w, explored, 0));
+            }
+        }
+        if !is_reachable || self.pending.is_empty() {
+            return is_reachable;
+        }
+        let mut open = self.pending.len();
+        'scan: for (w, &reached) in row.iter().enumerate() {
+            let unexplored = (self.unex_write[w] | self.unex_cond[w]) & reached;
+            for nj in word_members(w, unexplored) {
+                let nj_row = self.reach.row(nj);
+                for (pw, left, reset) in self.pending.iter_mut() {
+                    let hit = *left & nj_row[*pw];
+                    if hit != 0 {
+                        *reset |= hit;
+                        *left &= !hit;
+                        if *left == 0 {
+                            open -= 1;
+                        }
+                    }
                 }
-                self.reset_unexplored(nk);
+                if open == 0 {
+                    break 'scan;
+                }
             }
+        }
+        for &(w, _, reset) in &self.pending {
+            transfer(&mut self.ex_write, &mut self.unex_write, w, reset);
+            transfer(&mut self.ex_cond, &mut self.unex_cond, w, reset);
         }
         is_reachable
     }
@@ -215,8 +302,16 @@ mod tests {
     use dise_cfg::build_cfg;
     use dise_symexec::{ExecConfig, Executor, FullExploration};
 
-    /// Runs DiSE on the Fig. 2 example and returns (strategy, summary).
-    fn run_fig2() -> (DirectedStrategy, dise_symexec::SymbolicSummary, Cfg) {
+    /// What a DiSE run on the Fig. 2 example leaves behind.
+    struct Fig2Run {
+        trace: Vec<DirectedTraceRow>,
+        rendered: String,
+        summary: dise_symexec::SymbolicSummary,
+        cfg: Cfg,
+    }
+
+    /// Runs DiSE on the Fig. 2 example with the Table 1 trace on.
+    fn run_fig2() -> Fig2Run {
         let base = crate::affected::tests::fig2_base();
         let modified = fig2_mod();
         let (cfg_base, cfg_mod, diff) =
@@ -228,15 +323,21 @@ mod tests {
             DataflowPrecision::CfgPath,
             false,
         );
-        let mut strategy = DirectedStrategy::new(&cfg_mod, &affected, true);
+        let reach = Reachability::new(&cfg_mod);
+        let mut strategy = DirectedStrategy::new(&cfg_mod, &affected, &reach, true);
         let mut executor = Executor::new(&modified, "update", ExecConfig::default()).unwrap();
         let summary = executor.explore(&mut strategy);
-        (strategy, summary, cfg_mod)
+        Fig2Run {
+            trace: strategy.trace().to_vec(),
+            rendered: strategy.render_trace(),
+            summary,
+            cfg: cfg_mod,
+        }
     }
 
     #[test]
     fn fig2_dise_prunes_paths_versus_full() {
-        let (_, dise_summary, _) = run_fig2();
+        let dise_summary = run_fig2().summary;
         let modified = fig2_mod();
         let mut executor = Executor::new(&modified, "update", ExecConfig::default()).unwrap();
         let full = executor.explore(&mut FullExploration);
@@ -250,12 +351,12 @@ mod tests {
 
     #[test]
     fn fig2_dise_path_count_golden() {
-        let (_, dise_summary, _) = run_fig2();
+        let dise_summary = run_fig2().summary;
         // Golden value for our engine: 8 affected path conditions out of
         // 24 full ones — the paper reports 7 of 21 on its Java bytecode
         // artifact (same 3× reduction; the feasible affected sequences of
         // the MJ model are 3 first-block × {3,3,2} last-block options =
-        // 8). See EXPERIMENTS.md §Fig. 2.
+        // 8). See ARCHITECTURE.md, "Fidelity notes".
         assert_eq!(dise_summary.pc_count(), 8);
     }
 
@@ -264,7 +365,11 @@ mod tests {
         // §2.2: p0 = <n0,n1,n5,n6,n7,n10,n11> explored; p1, which differs
         // only in unaffected nodes <n6,n8,n9>, is pruned. Check that no two
         // DiSE paths have the same affected-node sequence.
-        let (_, dise_summary, cfg) = run_fig2();
+        let Fig2Run {
+            summary: dise_summary,
+            cfg,
+            ..
+        } = run_fig2();
         let base = crate::affected::tests::fig2_base();
         let modified = fig2_mod();
         let (cfg_base, cfg_mod, diff) =
@@ -295,8 +400,7 @@ mod tests {
 
     #[test]
     fn table1_trace_rows_match_paper_prefix() {
-        let (strategy, _, cfg) = run_fig2();
-        let trace = strategy.trace();
+        let Fig2Run { trace, cfg, .. } = run_fig2();
         assert!(!trace.is_empty());
         // Row 2 of Table 1: state sequence <n0>, n0 moved to ExCond.
         // (Our row 2 includes the begin node in the state sequence; the
@@ -320,11 +424,10 @@ mod tests {
         // Table 1 row 11: upon entering n2 after backtracking, explored
         // nodes reachable from the unexplored {n3, n4} (i.e. n5, n10, n11,
         // n12, n13, n14) move back to unexplored; n1 stays explored.
-        let (strategy, _, cfg) = run_fig2();
+        let Fig2Run { trace, cfg, .. } = run_fig2();
         let n1 = paper_node(&cfg, 1);
         let n2 = paper_node(&cfg, 2);
-        let row = strategy
-            .trace()
+        let row = trace
             .iter()
             .find(|r| r.state_seq.last() == Some(&n2))
             .expect("n2 is entered");
@@ -346,7 +449,8 @@ mod tests {
         let modified = fig2_mod();
         let cfg = build_cfg(modified.proc("update").unwrap());
         let empty = AffectedSets::compute(&cfg, [], DataflowPrecision::CfgPath, false);
-        let mut strategy = DirectedStrategy::new(&cfg, &empty, false);
+        let reach = Reachability::new(&cfg);
+        let mut strategy = DirectedStrategy::new(&cfg, &empty, &reach, false);
         let mut executor = Executor::new(&modified, "update", ExecConfig::default()).unwrap();
         let summary = executor.explore(&mut strategy);
         // Under the SPF-faithful ChoicePoints scope, the straight-line
@@ -358,7 +462,7 @@ mod tests {
 
         // The literal Fig. 6 reading filters every state: only the initial
         // state is entered.
-        let mut strategy = DirectedStrategy::new(&cfg, &empty, false);
+        let mut strategy = DirectedStrategy::new(&cfg, &empty, &reach, false);
         let config = ExecConfig {
             filter_scope: dise_symexec::FilterScope::AllStates,
             ..ExecConfig::default()
@@ -387,7 +491,8 @@ mod tests {
             .filter(|&n| !cfg.node(n).span.is_dummy())
             .collect();
         let affected = AffectedSets::compute(&cfg, all, DataflowPrecision::CfgPath, false);
-        let mut strategy = DirectedStrategy::new(&cfg, &affected, false);
+        let reach = Reachability::new(&cfg);
+        let mut strategy = DirectedStrategy::new(&cfg, &affected, &reach, false);
         let mut executor = Executor::new(&modified, "update", ExecConfig::default()).unwrap();
         let dise = executor.explore(&mut strategy);
         let mut executor = Executor::new(&modified, "update", ExecConfig::default()).unwrap();
@@ -415,7 +520,8 @@ mod tests {
         let cfg = build_cfg(modified.proc("f").unwrap());
         let write = cfg.write_nodes().next().unwrap();
         let affected = AffectedSets::compute(&cfg, [write], DataflowPrecision::CfgPath, false);
-        let mut strategy = DirectedStrategy::new(&cfg, &affected, false);
+        let reach = Reachability::new(&cfg);
+        let mut strategy = DirectedStrategy::new(&cfg, &affected, &reach, false);
         let config = ExecConfig {
             depth_bound: Some(10),
             ..ExecConfig::default()
@@ -429,8 +535,7 @@ mod tests {
 
     #[test]
     fn render_trace_has_table1_columns() {
-        let (strategy, _, _) = run_fig2();
-        let rendered = strategy.render_trace();
+        let rendered = run_fig2().rendered;
         assert!(rendered.contains("ExWrite"));
         assert!(rendered.contains("UnExCond"));
         assert!(rendered.contains('<'));

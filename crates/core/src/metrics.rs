@@ -15,10 +15,13 @@
 //! | `summary.*` | `SummaryStats` (via exec)   | volatile  |
 //! | `stage.*`   | [`StageTimings`] (ns)       | volatile  |
 //! | `pipeline.*`| [`DiseResult`] structure    | stable    |
+//! | `affected.*`| [`FixpointStats`]           | stable    |
 //! | `store.*`   | [`StoreStatus`]             | stable¹   |
 //!
 //! ¹ except `store.warm_trie_entries`, whose value depends on what an
 //! earlier (possibly differently-parallel) run recorded.
+//!
+//! [`FixpointStats`]: crate::affected::FixpointStats
 //!
 //! # The determinism contract
 //!
@@ -170,6 +173,21 @@ pub fn stage_registry(stages: &StageTimings) -> MetricsRegistry {
         ns(stages.affected),
         Stability::Volatile,
     );
+    let parts = &stages.affected_parts;
+    for (name, spent) in [
+        ("seeds", parts.seeds),
+        ("postdom", parts.postdom),
+        ("control_deps", parts.control_deps),
+        ("defuse", parts.defuse),
+        ("reach", parts.reach),
+        ("fixpoint", parts.fixpoint),
+    ] {
+        reg.set_counter(
+            &format!("stage.affected.{name}_ns"),
+            ns(spent),
+            Stability::Volatile,
+        );
+    }
     reg.set_counter("stage.explore_ns", ns(stages.explore), Stability::Volatile);
     reg.set_counter(
         "pipeline.analysis_ns",
@@ -226,6 +244,13 @@ pub fn result_registry(result: &DiseResult) -> MetricsRegistry {
         result.affected_nodes as u64,
         Stability::Stable,
     );
+    let fixpoint = result.affected.stats();
+    reg.set_counter(
+        "affected.nodes_added",
+        fixpoint.nodes_added,
+        Stability::Stable,
+    );
+    reg.set_counter("affected.phases", fixpoint.phases, Stability::Stable);
     reg.merge(&stage_registry(&result.stages));
     if let Some(status) = &result.store {
         reg.merge(&store_registry(status));
@@ -276,6 +301,7 @@ mod tests {
             diff: Duration::from_millis(2),
             affected: Duration::from_micros(4500),
             explore: Duration::from_millis(120),
+            ..StageTimings::default()
         };
         let reg = stage_registry(&stages);
         assert_eq!(reg.counter("pipeline.analysis_ns"), 6_650_000);

@@ -42,9 +42,20 @@ pub fn removed_effects(
     mapped
 }
 
-/// The full affected-location pipeline of §3.2: removed-node effects
-/// (Fig. 5a) unioned with changed/added seeds, then the fixpoint on
-/// `CFG_mod`.
+/// The seeds of the fixpoint on `CFG_mod`: the changed/added nodes
+/// unioned with the removed-node effects (Fig. 5a).
+pub fn affected_seeds(
+    cfg_base: &Cfg,
+    diff: &CfgDiff,
+    precision: DataflowPrecision,
+) -> BTreeSet<NodeId> {
+    let mut seeds: BTreeSet<NodeId> = diff.changed_or_added_mod().collect();
+    seeds.extend(removed_effects(cfg_base, diff, precision));
+    seeds
+}
+
+/// The full affected-location pipeline of §3.2: [`affected_seeds`],
+/// then the fixpoint on `CFG_mod`.
 pub fn affected_locations(
     cfg_base: &Cfg,
     cfg_mod: &Cfg,
@@ -52,8 +63,7 @@ pub fn affected_locations(
     precision: DataflowPrecision,
     record_trace: bool,
 ) -> AffectedSets {
-    let mut seeds: BTreeSet<NodeId> = diff.changed_or_added_mod().collect();
-    seeds.extend(removed_effects(cfg_base, diff, precision));
+    let seeds = affected_seeds(cfg_base, diff, precision);
     AffectedSets::compute(cfg_mod, seeds, precision, record_trace)
 }
 

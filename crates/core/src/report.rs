@@ -304,6 +304,7 @@ mod tests {
             diff: Duration::from_millis(2),
             affected: Duration::from_micros(4500),
             explore: Duration::from_millis(120),
+            ..StageTimings::default()
         };
         let line = stage_stats_line(&stage_registry(&stages));
         assert_eq!(

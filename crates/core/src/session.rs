@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dise_cfg::{Cfg, NodeId};
+use dise_cfg::{Cfg, NodeId, Reachability};
 use dise_diff::{proc_fingerprint, CfgDiff};
 use dise_ir::ast::Program;
 use dise_ir::inline::{contains_calls, inline_program, InlineError};
@@ -48,10 +48,9 @@ use dise_symexec::{
     ExecConfig, Executor, FullExploration, SummaryTable, SymbolicSummary, WarmHandoff,
 };
 
-use crate::affected::{AffectedSets, DataflowPrecision};
+use crate::affected::{AffectedSets, AffectedTimings, DataflowPrecision};
 use crate::directed::DirectedStrategy;
 use crate::dise::{DiseConfig, DiseError, DiseResult, StoreStatus};
-use crate::removed::affected_locations;
 
 /// Wall-clock cost of each pipeline stage, measured when the stage first
 /// runs (a reused stage costs nothing and keeps its original timing).
@@ -66,6 +65,9 @@ pub struct StageTimings {
     /// The affected-location fixpoint (§3.2), or ~0 when restored from
     /// the store.
     pub affected: Duration,
+    /// The affected stage's sub-stages (all zero when restored from the
+    /// store).
+    pub affected_parts: AffectedTimings,
     /// Directed symbolic execution (§3.3).
     pub explore: Duration,
 }
@@ -181,6 +183,9 @@ pub struct AnalysisSession {
     // Lazily computed stages.
     diffed: Option<Diffed>,
     affected: Option<AffectedSets>,
+    /// The modified CFG's reachability closure, built by the affected
+    /// stage and consumed by the directed strategy.
+    reach: Option<Reachability>,
     explored: Option<Explored>,
     executor: Option<Executor>,
     base_full: Option<SymbolicSummary>,
@@ -272,6 +277,7 @@ impl AnalysisSession {
             carried_summaries: None,
             diffed: None,
             affected: None,
+            reach: None,
             explored: None,
             executor: None,
             base_full: None,
@@ -483,13 +489,26 @@ impl AnalysisSession {
                     reused = 1;
                     sets
                 }
-                None => affected_locations(
-                    &diffed.cfg_base,
-                    &diffed.cfg_mod,
-                    &diffed.diff,
-                    self.config.precision,
-                    self.config.trace_affected,
-                ),
+                None => {
+                    let trace = self
+                        .config
+                        .exec
+                        .tracer
+                        .as_ref()
+                        .zip(span.as_ref())
+                        .map(|(h, span)| h.child(span.id()));
+                    let (sets, reach, parts) = AffectedSets::staged(
+                        &diffed.cfg_base,
+                        &diffed.cfg_mod,
+                        &diffed.diff,
+                        self.config.precision,
+                        self.config.trace_affected,
+                        trace.as_ref(),
+                    );
+                    self.timings.affected_parts = parts;
+                    self.reach = Some(reach);
+                    sets
+                }
             };
             self.timings.affected = start.elapsed();
             self.end_span(
@@ -564,8 +583,17 @@ impl AnalysisSession {
                 diffed.cfg_mod.len(),
                 "CFG construction must be deterministic"
             );
-            let mut strategy =
-                DirectedStrategy::new(&diffed.cfg_mod, affected, self.config.trace_directed);
+            // Restored affected sets come without the closure.
+            let reach = self
+                .reach
+                .take()
+                .unwrap_or_else(|| Reachability::new(&diffed.cfg_mod));
+            let mut strategy = DirectedStrategy::new(
+                &diffed.cfg_mod,
+                affected,
+                &reach,
+                self.config.trace_directed,
+            );
             let summary = executor.explore(&mut strategy);
             let directed_trace = self.config.trace_directed.then(|| strategy.render_trace());
             self.timings.explore = start.elapsed();

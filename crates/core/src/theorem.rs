@@ -161,7 +161,8 @@ mod tests {
         );
         let mut executor = Executor::new(&modified, proc, ExecConfig::default()).unwrap();
         let full = executor.explore(&mut FullExploration);
-        let mut strategy = DirectedStrategy::new(&cfg_mod, &affected, false);
+        let reach = dise_cfg::Reachability::new(&cfg_mod);
+        let mut strategy = DirectedStrategy::new(&cfg_mod, &affected, &reach, false);
         let dise_config = ExecConfig {
             record_pruned: true,
             ..ExecConfig::default()

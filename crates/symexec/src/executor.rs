@@ -98,7 +98,7 @@ impl Strategy for FullExploration {
 /// choice points. [`FilterScope::ChoicePoints`] reproduces that behaviour
 /// and is the default; [`FilterScope::AllStates`] applies the filter at
 /// every CFG node (the literal reading of the pseudocode, kept for the
-/// fidelity comparison in DESIGN.md).
+/// fidelity comparison; see ARCHITECTURE.md, "Fidelity notes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterScope {
     /// Filter only successors produced by a symbolic two-way fork
