@@ -146,10 +146,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dise_core::dise::DiseConfig;
-use dise_core::metrics::{exec_registry, result_registry};
+use dise_core::metrics::{exec_registry, result_registry, stage_registry};
 use dise_core::report::{
-    duration_mmss, solver_stats_line, stage_stats_line, store_stats_line, summary_stats_line,
-    verdict_pc_block,
+    duration_mmss, explore_split_line, solver_stats_line, stage_stats_line, store_stats_line,
+    summary_stats_line, verdict_pc_block,
 };
 use dise_core::session::AnalysisSession;
 use dise_core::DataflowPrecision;
@@ -542,6 +542,7 @@ fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     let mut session =
         AnalysisSession::open(&base, &modified, proc_name, config).map_err(|e| e.to_string())?;
     let result = session.result().map_err(|e| e.to_string())?;
+    let split = explore_split_line(&stage_registry(&result.stages));
     let mut total = result.summary.stats().solver.pipeline_checks();
     if flags.contains(&"--full") {
         let full = session.modified_full().map_err(|e| e.to_string())?;
@@ -578,6 +579,7 @@ fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     println!(
         "attribution: {attributed} of {total} pipeline solver checks attributed to stage spans ({share})"
     );
+    println!("explore split: {split}");
     Ok(())
 }
 

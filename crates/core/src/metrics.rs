@@ -189,6 +189,20 @@ pub fn stage_registry(stages: &StageTimings) -> MetricsRegistry {
         );
     }
     reg.set_counter("stage.explore_ns", ns(stages.explore), Stability::Volatile);
+    // The explore split is measured on traced runs only; untraced
+    // registries (and the serve responses built from them) leave it out.
+    if !(stages.explore_solver + stages.explore_filter).is_zero() {
+        reg.set_counter(
+            "stage.explore.solver_ns",
+            ns(stages.explore_solver),
+            Stability::Volatile,
+        );
+        reg.set_counter(
+            "stage.explore.filter_ns",
+            ns(stages.explore_filter),
+            Stability::Volatile,
+        );
+    }
     reg.set_counter(
         "pipeline.analysis_ns",
         ns(stages.analysis()),

@@ -193,6 +193,27 @@ pub fn stage_stats_line(reg: &MetricsRegistry) -> String {
     )
 }
 
+/// One-line split of the explore stage for `dise profile`: time spent on
+/// the solver (pushing, deciding and popping branch literals), in the
+/// strategy's filter, and stepping states (the remainder), in
+/// milliseconds. Reads the `stage.explore*` metrics of a registry built by
+/// [`crate::metrics::stage_registry`]; the split is only measured on
+/// traced runs.
+pub fn explore_split_line(reg: &MetricsRegistry) -> String {
+    let explore = reg.counter("stage.explore_ns");
+    let solver = reg.counter("stage.explore.solver_ns");
+    let filter = reg.counter("stage.explore.filter_ns");
+    let stepping = explore.saturating_sub(solver + filter);
+    let ms = |ns: u64| format!("{:.1}", ns as f64 / 1e6);
+    format!(
+        "solver {} ms, filter {} ms, stepping {} ms (of {} ms)",
+        ms(solver),
+        ms(filter),
+        ms(stepping),
+        ms(explore),
+    )
+}
+
 /// One-line summary of persistent-store activity for the CLI: what was
 /// restored, what was reused, whether the run was recorded back, and any
 /// degradation warning (shown separately on stderr by the CLI). Reads
@@ -313,6 +334,23 @@ mod tests {
         );
         assert_eq!(stages.analysis(), Duration::from_micros(6650));
         assert_eq!(stages.total(), Duration::from_micros(126_650));
+    }
+
+    #[test]
+    fn explore_split_line_reports_the_remainder_as_stepping() {
+        use crate::metrics::stage_registry;
+        use crate::session::StageTimings;
+        use std::time::Duration;
+        let stages = StageTimings {
+            explore: Duration::from_millis(30),
+            explore_solver: Duration::from_millis(12),
+            explore_filter: Duration::from_micros(2500),
+            ..StageTimings::default()
+        };
+        assert_eq!(
+            explore_split_line(&stage_registry(&stages)),
+            "solver 12.0 ms, filter 2.5 ms, stepping 15.5 ms (of 30.0 ms)"
+        );
     }
 
     #[test]

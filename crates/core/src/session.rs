@@ -70,6 +70,14 @@ pub struct StageTimings {
     pub affected_parts: AffectedTimings,
     /// Directed symbolic execution (§3.3).
     pub explore: Duration,
+    /// The part of [`StageTimings::explore`] spent pushing, deciding and
+    /// popping branch literals on the solver (zero unless a tracer is
+    /// attached).
+    pub explore_solver: Duration,
+    /// The part of [`StageTimings::explore`] spent in the directed
+    /// strategy's filter (zero unless a tracer is attached). The rest of
+    /// the stage is state stepping.
+    pub explore_filter: Duration,
 }
 
 impl StageTimings {
@@ -598,6 +606,8 @@ impl AnalysisSession {
             let directed_trace = self.config.trace_directed.then(|| strategy.render_trace());
             self.timings.explore = start.elapsed();
             let s = summary.stats();
+            self.timings.explore_solver = s.solver_time;
+            self.timings.explore_filter = s.filter_time;
             self.end_span(
                 span,
                 vec![

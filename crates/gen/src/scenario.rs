@@ -349,15 +349,14 @@ impl Scenario {
             "proc {PROC_NAME}(int Mode, int Level, int Skid) {{\n"
         ));
         // Interval dispatch (`Mode < i + 1`), not equality dispatch
-        // (`Mode == i`): an else-if chain of equalities accumulates a
-        // disequality per rejected arm in every deeper path condition,
-        // and disequalities cost the solver a DNF case split each — past
-        // ~24 arms the case budget exhausts, the check goes `Unknown`,
-        // and the whole remaining spine is silently dropped as
-        // infeasible. Interval guards keep every dispatch path condition
-        // a pure conjunction of linear bounds on `Mode`, which solves
-        // without case splits at any arm count — the property that lets
-        // scenarios scale 10–100x.
+        // (`Mode == i`). Interval guards keep every dispatch path
+        // condition a pure conjunction of linear bounds on `Mode`, which
+        // interval propagation decides without search at any arm count —
+        // the property that lets scenarios scale 10–100x. An else-if
+        // chain of equalities instead accumulates one disequality per
+        // rejected arm for the model search to evaluate. Generated
+        // scenarios, and the benchmark inputs built from them, must stay
+        // byte-identical, so the grammar keeps interval guards.
         for (i, arm) in self.arms.iter().enumerate() {
             let head = if i == 0 { "  if" } else { " else if" };
             out.push_str(&format!("{head} (Mode < {}) {{\n", i + 1));

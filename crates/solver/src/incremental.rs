@@ -18,10 +18,17 @@
 //! * **Prefix trie** — verdicts are memoized in a trie keyed by the
 //!   `TermId` path. A re-checked prefix is answered without solving, and
 //!   an UNSAT ancestor kills every extension instantly.
-//! * **Monolithic fallback** — a pushed literal that needs case splitting
-//!   (disjunction, integer disequality) flips the current path into
-//!   fallback mode: `check` delegates to the inner [`Solver`] (which has
-//!   its own bounded result cache) until that literal is popped.
+//! * **Residual atoms** — a pushed conjunct that is neither linear nor a
+//!   boolean literal (a disjunction, an integer disequality, a non-linear
+//!   comparison) is kept as a residual: interval propagation and
+//!   Fourier–Motzkin ignore it, and the model search evaluates it as soon
+//!   as its variables are assigned. No literal switches the path to a
+//!   different decision procedure.
+//! * **Monolithic fallback** — only when the incremental decision comes
+//!   back `Unknown` (search budget, overflow) does `check` consult the
+//!   inner [`Solver`], whose DNF case split may still decide the path.
+//!   The incremental tier is therefore never less decided than the
+//!   monolithic one.
 //!
 //! Soundness mirrors the monolithic contract: `Unsat` only when provable,
 //! `Sat` only with a model verified against every pushed literal,
@@ -37,8 +44,8 @@ use crate::model::{Model, Value};
 use crate::shared_trie::SharedTrie;
 use crate::snapshot::{TrieEntry, TrieSnapshot};
 use crate::solve::{
-    classify, decide_conjunction, flatten_conjunct, nnf, split_alternatives, CaseVerdict,
-    Classified, SatResult, Solver, SolverConfig, SolverStats,
+    classify, decide_conjunction, flatten_conjunct, nnf, CaseVerdict, Classified, SatResult,
+    Solver, SolverConfig, SolverStats,
 };
 use crate::sym::{SymExpr, SymTy, SymVar};
 use crate::Interval;
@@ -72,9 +79,6 @@ struct Frame {
     lit_vars: Vec<u32>,
     /// Boolean assignments made by this frame: `(id, previous value)`.
     bool_undo: Vec<(u32, Option<bool>)>,
-    /// The literal requires case splitting — this path runs in fallback
-    /// mode while the frame is on the stack.
-    complex: bool,
     /// The literal (or a boolean conflict) is a contradiction.
     contradiction: bool,
     /// Verdict computed at this depth, if `check` ran.
@@ -101,8 +105,6 @@ pub struct IncrementalSolver {
     trie: Vec<TrieNode>,
     /// Cross-worker verdict cache (parallel frontier), when attached.
     shared: Option<Arc<SharedTrie>>,
-    /// Number of frames currently in fallback (case-splitting) mode.
-    complex_frames: usize,
     /// Shallowest frame known to be UNSAT (contradiction or verdict).
     unsat_depth: Option<usize>,
     /// Incremental-tier counters (merged with the inner solver's by
@@ -134,7 +136,6 @@ impl IncrementalSolver {
             vars: BTreeMap::new(),
             trie: vec![TrieNode::default()],
             shared: None,
-            complex_frames: 0,
             unsat_depth: None,
             local: SolverStats::default(),
         }
@@ -151,9 +152,11 @@ impl IncrementalSolver {
     }
 
     /// Combined activity counters: the monolithic fallback tier's plus the
-    /// incremental tier's.
+    /// incremental tier's. `checks` counts each query once: every inner
+    /// check is a fallback for a query this tier already counted.
     pub fn stats(&self) -> SolverStats {
         let mut merged = *self.inner.stats();
+        merged.checks = 0;
         merged.merge(&self.local);
         merged
     }
@@ -211,7 +214,6 @@ impl IncrementalSolver {
             new_vars: Vec::new(),
             lit_vars: Vec::new(),
             bool_undo: Vec::new(),
-            complex: false,
             contradiction: false,
             verdict: None,
             model: None,
@@ -225,13 +227,7 @@ impl IncrementalSolver {
             frame.contradiction = true;
         }
         for conjunct in &conjuncts {
-            if frame.contradiction || frame.complex {
-                break;
-            }
-            if split_alternatives(conjunct).len() > 1 {
-                // Disjunction or integer disequality: needs DNF case
-                // splitting, which only the monolithic tier does.
-                frame.complex = true;
+            if frame.contradiction {
                 break;
             }
             let mut frame_vars = BTreeMap::new();
@@ -261,9 +257,6 @@ impl IncrementalSolver {
             }
         }
 
-        if frame.complex {
-            self.complex_frames += 1;
-        }
         if frame.contradiction && self.unsat_depth.is_none() {
             self.unsat_depth = Some(self.frames.len());
         }
@@ -292,9 +285,6 @@ impl IncrementalSolver {
                     self.bools.remove(id);
                 }
             }
-        }
-        if frame.complex {
-            self.complex_frames -= 1;
         }
         if self.unsat_depth == Some(self.frames.len()) {
             self.unsat_depth = None;
@@ -405,28 +395,30 @@ impl IncrementalSolver {
             }
         }
 
-        // Fallback mode: some literal on the stack needs case splitting.
-        if self.complex_frames > 0 {
-            self.local.fallback_checks += 1;
-            let outcome = self.inner.check(&self.lits);
-            let verdict = outcome.result();
-            let model = outcome.model().cloned();
-            // The inner solver already tallied sat/unsat/unknown.
-            self.frames[top].verdict = Some(verdict);
-            self.frames[top].model = model.clone();
-            self.note_unsat(top, verdict);
-            self.store_trie(top, verdict, model, None);
-            return verdict;
-        }
-
-        self.local.incremental_checks += 1;
-
         // Starvation semantics: a zero case budget answers Unknown for any
         // non-empty query, exactly like the monolithic tier.
         if self.inner.config().case_budget == 0 {
+            self.local.incremental_checks += 1;
             return self.conclude(top, SatResult::Unknown, None, None);
         }
 
+        let (verdict, bounds) = self.decide(top);
+        let (verdict, model) = match verdict {
+            CaseVerdict::Sat(model) => (SatResult::Sat, Some(model)),
+            CaseVerdict::Unsat => (SatResult::Unsat, None),
+            CaseVerdict::Unknown => return self.fall_back(top, bounds),
+        };
+        self.local.incremental_checks += 1;
+        self.conclude(top, verdict, model, bounds)
+    }
+
+    /// The incremental decision at depth `top`: model reuse, then the
+    /// per-frame pipeline over the retained atoms. Residual atoms only
+    /// reach the model search, so `Unsat` here is always sound (it comes
+    /// from propagation or Fourier–Motzkin over the linear atoms, and
+    /// residuals can only add constraints) and `Sat` carries a model
+    /// verified against every pushed literal.
+    fn decide(&mut self, top: usize) -> (CaseVerdict, Option<BTreeMap<u32, Interval>>) {
         // Model reuse: does the parent's verified model (extended with
         // defaults for this frame's fresh variables) already satisfy the
         // whole path? This is the common DFS step — a SAT prefix extended
@@ -434,7 +426,7 @@ impl IncrementalSolver {
         if let Some(candidate) = self.reuse_candidate(top) {
             if self.lits.iter().all(|lit| candidate.satisfies(lit)) {
                 self.local.model_reuse_hits += 1;
-                return self.conclude(top, SatResult::Sat, Some(candidate), None);
+                return (CaseVerdict::Sat(candidate), None);
             }
         }
 
@@ -454,7 +446,7 @@ impl IncrementalSolver {
         // Unknown forces the unpinned retry — the pins may simply have
         // been an unlucky choice.
         let pinned = self.pinned_fixed(top, &fixed);
-        let mut decision = decide_conjunction(
+        let decision = decide_conjunction(
             &self.lin,
             &self.residuals,
             &self.vars,
@@ -464,24 +456,33 @@ impl IncrementalSolver {
             self.inner.config(),
             &mut self.local,
         );
-        if pinned.is_some() && matches!(decision.0, CaseVerdict::Unknown) {
-            decision = decide_conjunction(
-                &self.lin,
-                &self.residuals,
-                &self.vars,
-                &fixed,
-                &parent_bounds,
-                &self.lits,
-                self.inner.config(),
-                &mut self.local,
-            );
+        if pinned.is_none() || !matches!(decision.0, CaseVerdict::Unknown) {
+            return decision;
         }
-        let (verdict, bounds) = decision;
-        match verdict {
-            CaseVerdict::Sat(model) => self.conclude(top, SatResult::Sat, Some(model), bounds),
-            CaseVerdict::Unsat => self.conclude(top, SatResult::Unsat, None, None),
-            CaseVerdict::Unknown => self.conclude(top, SatResult::Unknown, None, bounds),
-        }
+        decide_conjunction(
+            &self.lin,
+            &self.residuals,
+            &self.vars,
+            &fixed,
+            &parent_bounds,
+            &self.lits,
+            self.inner.config(),
+            &mut self.local,
+        )
+    }
+
+    /// Hands an undecided path to the monolithic tier, whose DNF case
+    /// split may still decide it. Counted once, as a fallback check; the
+    /// inner solver tallies the verdict. The incremental interval fixed
+    /// point stays the child frames' seed: it over-approximates the path's
+    /// solutions whatever the inner verdict.
+    fn fall_back(&mut self, top: usize, bounds: Option<BTreeMap<u32, Interval>>) -> SatResult {
+        self.local.fallback_checks += 1;
+        let outcome = self.inner.check(&self.lits);
+        let verdict = outcome.result();
+        let bounds = bounds.filter(|_| verdict != SatResult::Unsat);
+        self.record(top, verdict, outcome.model().cloned(), bounds);
+        verdict
     }
 
     /// Records a verdict at depth `top` (frame, trie, tallies).
@@ -492,13 +493,24 @@ impl IncrementalSolver {
         model: Option<Model>,
         bounds: Option<BTreeMap<u32, Interval>>,
     ) -> SatResult {
+        self.record(top, verdict, model, bounds);
+        self.tally(verdict);
+        verdict
+    }
+
+    /// Records a verdict at depth `top` in the frame and the tries.
+    fn record(
+        &mut self,
+        top: usize,
+        verdict: SatResult,
+        model: Option<Model>,
+        bounds: Option<BTreeMap<u32, Interval>>,
+    ) {
         self.note_unsat(top, verdict);
         self.frames[top].verdict = Some(verdict);
         self.frames[top].model = model.clone();
         self.frames[top].bounds = bounds.clone();
         self.store_trie(top, verdict, model, bounds);
-        self.tally(verdict);
-        verdict
     }
 
     /// Records an UNSAT verdict at `depth` so later extensions die by the
@@ -887,39 +899,92 @@ mod tests {
     }
 
     #[test]
-    fn disjunctions_fall_back_to_monolithic() {
-        let (_, x, _, _) = setup();
+    fn disjunctions_decide_incrementally() {
+        let (_, x, y, _) = setup();
         let mut solver = IncrementalSolver::new();
-        solver.push(SymExpr::or(
-            SymExpr::lt(SymExpr::var(&x), SymExpr::int(-5)),
-            SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
-        ));
-        solver.push(SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)));
+        let path = [
+            SymExpr::or(
+                SymExpr::lt(SymExpr::var(&x), SymExpr::int(-5)),
+                SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
+            ),
+            SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)),
+        ];
+        for lit in &path {
+            solver.push(lit.clone());
+        }
         assert_eq!(solver.check(), SatResult::Sat);
-        assert!(solver.stats().fallback_checks >= 1);
-        assert!(solver.model().unwrap().int_value(&x).unwrap() > 5);
-        // Popping the disjunction leaves the path incremental again.
-        solver.pop();
-        solver.pop();
-        solver.push(SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)));
+        let stats = solver.stats();
+        assert_eq!(stats.fallback_checks, 0, "{stats:?}");
+        assert_eq!(stats.incremental_checks, 1, "{stats:?}");
+        let model = solver.model().unwrap();
+        assert!(path.iter().all(|lit| model.satisfies(lit)));
+        assert!(model.int_value(&x).unwrap() > 5);
+        // The disjunction stays on the stack and the next compatible
+        // extension is answered by model reuse.
+        solver.push(SymExpr::le(SymExpr::var(&y), SymExpr::int(100)));
         let before = solver.stats();
         assert_eq!(solver.check(), SatResult::Sat);
-        assert_eq!(solver.stats().fallback_checks, before.fallback_checks);
+        let after = solver.stats();
+        assert_eq!(after.model_reuse_hits, before.model_reuse_hits + 1);
+        assert_eq!(after.model_searches, before.model_searches);
+        assert_eq!(after.fallback_checks, 0);
     }
 
     #[test]
-    fn integer_disequalities_fall_back() {
-        let (_, x, _, _) = setup();
+    fn integer_disequalities_decide_incrementally() {
+        let (_, x, y, _) = setup();
         let mut solver = IncrementalSolver::new();
+        let path = [
+            SymExpr::Binary {
+                op: BinOp::Ne,
+                lhs: SymExpr::var(&x).into(),
+                rhs: SymExpr::int(0).into(),
+            },
+            SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)),
+        ];
+        solver.push(path[0].clone());
+        assert_eq!(solver.check(), SatResult::Sat);
+        solver.push(path[1].clone());
+        assert_eq!(solver.check(), SatResult::Sat);
+        let stats = solver.stats();
+        assert_eq!(stats.fallback_checks, 0, "{stats:?}");
+        assert_eq!(stats.incremental_checks, 2, "{stats:?}");
+        let model = solver.model().unwrap();
+        assert!(path.iter().all(|lit| model.satisfies(lit)));
+        assert!(model.int_value(&x).unwrap() > 0);
+        solver.push(SymExpr::le(SymExpr::var(&y), SymExpr::int(100)));
+        let before = solver.stats();
+        assert_eq!(solver.check(), SatResult::Sat);
+        assert_eq!(solver.stats().model_reuse_hits, before.model_reuse_hits + 1);
+    }
+
+    #[test]
+    fn undecided_disequality_falls_back_once() {
+        let (_, x, y, _) = setup();
+        let mut solver = IncrementalSolver::new();
+        // Propagation pins x = 0, the search refutes its only candidate,
+        // and FM over the linear atoms finds no conflict: the incremental
+        // decision is Unknown, and the monolithic case split proves UNSAT.
+        solver.push(SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)));
+        solver.push(SymExpr::le(SymExpr::var(&x), SymExpr::int(0)));
         solver.push(SymExpr::Binary {
             op: BinOp::Ne,
             lhs: SymExpr::var(&x).into(),
             rhs: SymExpr::int(0).into(),
         });
-        solver.push(SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)));
-        assert_eq!(solver.check(), SatResult::Sat);
-        assert!(solver.stats().fallback_checks >= 1);
-        assert!(solver.model().unwrap().int_value(&x).unwrap() > 0);
+        assert_eq!(solver.check(), SatResult::Unsat);
+        let stats = solver.stats();
+        assert_eq!(stats.checks, 1, "{stats:?}");
+        assert_eq!(stats.fallback_checks, 1, "{stats:?}");
+        assert_eq!(stats.incremental_checks, 0, "{stats:?}");
+        assert_eq!(stats.pipeline_checks(), 1, "{stats:?}");
+        assert_eq!(stats.unsat, 1, "{stats:?}");
+        // The fallback's UNSAT kills extensions like any other.
+        solver.push(SymExpr::gt(SymExpr::var(&y), SymExpr::int(0)));
+        assert_eq!(solver.check(), SatResult::Unsat);
+        let after = solver.stats();
+        assert_eq!(after.prefix_unsat_kills, 1);
+        assert_eq!(after.fallback_checks, 1);
     }
 
     #[test]
@@ -1217,21 +1282,34 @@ mod tests {
     fn stats_merge_inner_and_incremental_tiers() {
         let (_, x, _, _) = setup();
         let mut solver = IncrementalSolver::new();
-        // Incremental check.
         solver.push(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)));
         assert_eq!(solver.check(), SatResult::Sat);
-        // Fallback check (disjunction).
+        // A disjunction is decided by the incremental tier too.
         solver.push(SymExpr::or(
             SymExpr::lt(SymExpr::var(&x), SymExpr::int(-5)),
             SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
         ));
         assert_eq!(solver.check(), SatResult::Sat);
+        // A path the incremental decision leaves Unknown goes to the
+        // inner tier: with x <= 6 and x != 6 added, the search refutes
+        // every candidate in [1, 6], FM over the linear atoms finds no
+        // conflict, and the monolithic case split proves UNSAT.
+        solver.push(SymExpr::le(SymExpr::var(&x), SymExpr::int(6)));
+        solver.push(SymExpr::Binary {
+            op: BinOp::Ne,
+            lhs: SymExpr::var(&x).into(),
+            rhs: SymExpr::int(6).into(),
+        });
+        assert_eq!(solver.check(), SatResult::Unsat);
         let stats = solver.stats();
-        assert_eq!(stats.checks, 3); // 2 incremental-tier + 1 inner
-        assert_eq!(stats.incremental_checks, 1);
-        assert_eq!(stats.fallback_checks, 1);
-        // Each logical query tallies one verdict: the fallback check's SAT
-        // is counted by the inner tier, not double-counted locally.
-        assert_eq!(stats.sat, 2);
+        // Each query is counted once, in exactly one tier.
+        assert_eq!(stats.checks, 3, "{stats:?}");
+        assert_eq!(stats.incremental_checks, 2, "{stats:?}");
+        assert_eq!(stats.fallback_checks, 1, "{stats:?}");
+        assert_eq!(stats.pipeline_checks(), 3, "{stats:?}");
+        // Each query tallies one verdict: the fallback's UNSAT is counted
+        // by the inner tier, not double-counted locally.
+        assert_eq!(stats.sat, 2, "{stats:?}");
+        assert_eq!(stats.unsat, 1, "{stats:?}");
     }
 }

@@ -14,10 +14,11 @@
 //!   of its extensions;
 //! * the **monolithic tier** ([`solve::Solver`]) runs the full pipeline
 //!   over an arbitrary constraint vector, with a bounded (LRU-evicting)
-//!   result cache keyed by interned term ids. The incremental tier falls
-//!   back to it when a literal needs case splitting, and the non-executor
-//!   clients (witness replay, test generation, simplification) use it
-//!   directly.
+//!   result cache keyed by interned term ids. The incremental tier decides
+//!   every literal itself (disjunctions and disequalities are evaluated by
+//!   its model search) and consults this tier only when its own decision
+//!   comes back `Unknown`; the non-executor clients (witness replay, test
+//!   generation, simplification) use it directly.
 //!
 //! Module map:
 //!

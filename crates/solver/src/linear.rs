@@ -4,8 +4,9 @@
 //! integer variables (identified by their [`crate::SymVar`] id). A [`LinAtom`]
 //! is a normalized constraint `expr ≤ 0` or `expr = 0`; strict inequalities
 //! over the integers are absorbed into `≤` (`e < 0 ⇔ e + 1 ≤ 0`), and `≥`,
-//! `>` flip sides. Disequalities are *not* atoms — the solver case-splits
-//! them into `<` and `>` upstream.
+//! `>` flip sides. Disequalities are *not* atoms — the incremental solver
+//! evaluates them as residuals during model search, and the monolithic
+//! solver case-splits them into `<` and `>`.
 //!
 //! All arithmetic is checked; overflow makes extraction fail, which the
 //! solver maps to [`crate::SatResult::Unknown`] (never to a wrong answer).
@@ -250,7 +251,8 @@ pub fn linearize(expr: &SymExpr) -> Option<LinExpr> {
 ///
 /// Returns the atoms whose conjunction is equivalent:
 /// * `<`, `≤`, `>`, `≥` and `=` produce one atom;
-/// * `≠` produces `None` (the caller must case-split).
+/// * `≠` produces `None` (the caller keeps it as a residual or
+///   case-splits it).
 pub fn atomize_cmp(op: BinOp, lhs: &SymExpr, rhs: &SymExpr) -> Option<LinAtom> {
     let l = linearize(lhs)?;
     let r = linearize(rhs)?;

@@ -3,8 +3,9 @@
 //! A [`Model`] maps symbolic-variable ids to concrete values. The search
 //! procedure assigns variables one at a time — most-constrained first —
 //! drawing candidate values from the propagated intervals, re-propagating
-//! after every assignment, and verifying residual (non-linear) atoms by
-//! evaluation once they become ground. Search is deterministic: the
+//! after every assignment, and refuting a candidate as soon as a residual
+//! (non-linear, disjunctive or disequality) atom evaluates to false under
+//! the partial assignment. Search is deterministic: the
 //! "random" probes come from a fixed xorshift sequence, so identical
 //! queries yield identical models (important for reproducible test
 //! generation).
@@ -195,8 +196,9 @@ impl Probe {
 /// `lin_atoms ∧ residuals ∧ bool_fixed`, starting from `bounds`.
 ///
 /// * `lin_atoms` — linear atoms (checked incrementally and by propagation);
-/// * `residuals` — arbitrary boolean [`SymExpr`]s (non-linear leftovers),
-///   verified once ground;
+/// * `residuals` — arbitrary boolean [`SymExpr`]s (non-linear atoms,
+///   disjunctions, disequalities), evaluated after every assignment: a
+///   candidate is skipped as soon as one of them is false;
 /// * `vars` — every variable that needs a value, keyed by id;
 /// * `fixed` — pre-assigned values (e.g. boolean literals from the case
 ///   split).
@@ -219,6 +221,9 @@ pub fn search_model(
         nodes: 0,
     };
     let mut model = fixed.clone();
+    if searcher.refuted(&model) {
+        return None;
+    }
     // Specialize the linear atoms with the fixed assignments, then tighten
     // the starting intervals (callers may pass no bounds at all).
     let atoms = specialize(lin_atoms, fixed)?;
@@ -336,6 +341,9 @@ impl Searcher<'_> {
             SymTy::Bool => {
                 for candidate in [true, false] {
                     model.set(var.id(), Value::Bool(candidate));
+                    if self.refuted(model) {
+                        continue;
+                    }
                     if let Some(found) = self.assign(atoms, bounds.clone(), model) {
                         return Some(found);
                     }
@@ -352,6 +360,9 @@ impl Searcher<'_> {
                 }
                 for candidate in self.candidates(lo, hi) {
                     model.set(var.id(), Value::Int(candidate));
+                    if self.refuted(model) {
+                        continue;
+                    }
                     // Re-propagate with the candidate pinned.
                     let Some(specialized) = specialize(atoms, model) else {
                         continue;
@@ -371,6 +382,17 @@ impl Searcher<'_> {
                 None
             }
         }
+    }
+
+    /// Whether some residual is already false under the partial `model`.
+    /// [`Model::eval`] answers only once every variable it reads is
+    /// assigned, and assigning more variables never changes an answer, so
+    /// no extension of a refuted model satisfies every residual: skipping
+    /// it keeps the DFS order and only prunes dead subtrees.
+    fn refuted(&self, model: &Model) -> bool {
+        self.residuals
+            .iter()
+            .any(|r| model.eval(r) == Some(Value::Bool(false)))
     }
 
     fn unset(&self, model: &mut Model, id: u32) {
@@ -593,6 +615,40 @@ mod tests {
             &SearchConfig::default(),
         )
         .is_none());
+    }
+
+    #[test]
+    fn search_refutes_residuals_before_the_leaves() {
+        // Phase >= 1 ∧ Phase != 1 plus four one-sided int variables. Every
+        // variable is unbounded on one side, so Phase (lowest id) is
+        // assigned first; a leaf-only residual check would try Phase = 1
+        // under every combination of the other four and run out of nodes.
+        let (_, vars) = int_vars(5);
+        let phase = &vars[0];
+        let mut atoms = vec![atom(BinOp::Ge, SymExpr::var(phase), SymExpr::int(1))];
+        for (i, v) in vars[1..].iter().enumerate() {
+            atoms.push(atom(
+                BinOp::Le,
+                SymExpr::var(v),
+                SymExpr::int(10 * i as i64),
+            ));
+        }
+        let residual = SymExpr::Binary {
+            op: BinOp::Ne,
+            lhs: SymExpr::var(phase).into(),
+            rhs: SymExpr::int(1).into(),
+        };
+        let m = search_model(
+            &atoms,
+            std::slice::from_ref(&residual),
+            &var_map(&vars),
+            &BTreeMap::new(),
+            &Model::new(),
+            &SearchConfig::default(),
+        )
+        .expect("a model within the default node budget");
+        assert!(m.satisfies(&residual));
+        assert!(m.int_value(phase).unwrap() > 1);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   repeated prefix is answered without re-solving and an UNSAT prefix
 //!   kills all of its extensions.
 //! * **Monolithic tier** (this module) — the full pipeline over an
-//!   arbitrary constraint vector. The incremental tier falls back to it
-//!   whenever a pushed literal needs case splitting (disjunctions, integer
-//!   disequalities); it also serves the non-executor clients (witness
-//!   replay, test generation, PC simplification).
+//!   arbitrary constraint vector. The incremental tier consults it only
+//!   when its own decision comes back `Unknown` (the DNF case split may
+//!   still decide a path the residual-evaluating search gave up on); it
+//!   also serves the non-executor clients (witness replay, test
+//!   generation, PC simplification).
 //!
 //! The monolithic pipeline over a conjunction of boolean symbolic
 //! expressions:
@@ -24,9 +25,10 @@
 //!    constructors already keep comparisons in atom form);
 //! 2. split disjunctions and integer disequalities into *cases* (DNF) under
 //!    a budget;
-//! 3. per case: extract linear atoms, propagate intervals, substitute
-//!    equalities, run Fourier–Motzkin (sound UNSAT), and finally search for
-//!    an explicit integer/boolean model (sound SAT);
+//! 3. per case: extract linear atoms, propagate intervals (quick UNSAT),
+//!    search for an explicit integer/boolean model (sound SAT), and only
+//!    when none is found substitute equalities and run Fourier–Motzkin
+//!    (sound UNSAT);
 //! 4. verify any model against the original constraints before reporting
 //!    [`SatResult::Sat`].
 //!
@@ -179,14 +181,17 @@ pub struct SolverStats {
     pub unsat: u64,
     /// Given-up verdicts.
     pub unknown: u64,
-    /// Fourier–Motzkin runs.
+    /// Fourier–Motzkin eliminations actually run. FM runs only after the
+    /// model search failed to produce a verified model, so a satisfiable
+    /// system never costs one.
     pub fm_runs: u64,
     /// Model searches attempted.
     pub model_searches: u64,
     /// Checks decided by the incremental pipeline (no monolithic re-solve).
     pub incremental_checks: u64,
-    /// Incremental checks that fell back to the monolithic pipeline
-    /// (a pushed literal required case splitting).
+    /// Checks the incremental tier could not decide (`Unknown`) and
+    /// handed to the monolithic pipeline. Each counts once here and not
+    /// in [`SolverStats::incremental_checks`].
     pub fallback_checks: u64,
     /// Checks answered from the prefix trie (repeated-prefix re-checks).
     pub prefix_cache_hits: u64,
@@ -459,9 +464,10 @@ impl Solver {
     }
 }
 
-/// Decides one conjunction-only case: interval propagation, equality
-/// substitution + Fourier–Motzkin (sound UNSAT), then model search with
-/// verification against `originals` (sound SAT). This is the shared core
+/// Decides one conjunction-only case: interval propagation (quick sound
+/// UNSAT), model search with verification against `originals` (sound
+/// SAT), and — only when no verified model was found — equality
+/// substitution + Fourier–Motzkin (sound UNSAT). This is the shared core
 /// of the monolithic per-case decision and of the incremental solver's
 /// per-frame check.
 ///
@@ -487,22 +493,11 @@ pub(crate) fn decide_conjunction(
         PropagationResult::Bounds(bounds) => bounds,
     };
 
-    // Sound UNSAT via equality substitution + Fourier–Motzkin. UNSAT
-    // from the linear part alone is sound even with residual atoms (a
-    // residual can only constrain further) — but SAT is not, hence the
-    // model search.
-    stats.fm_runs += 1;
-    let substitution = substitute_equalities(lin.to_vec());
-    if let Some(sub) = &substitution {
-        if eliminate(&sub.atoms) == FmResult::Unsat {
-            return (CaseVerdict::Unsat, None);
-        }
-    }
-
     // Model search. When there are no residual atoms we can search the
     // *reduced* system (fewer variables — coupled equalities are solved
     // exactly) and back-substitute; residuals mention eliminated
     // variables, so in their presence we search the original system.
+    let substitution = substitute_equalities(lin.to_vec());
     stats.model_searches += 1;
     let found = match (&substitution, residuals.is_empty()) {
         (Some(sub), true) if !sub.eliminated.is_empty() => {
@@ -510,32 +505,39 @@ pub(crate) fn decide_conjunction(
         }
         _ => search_model(lin, residuals, vars, &bounds, fixed, &config.search),
     };
-    let verdict = match found {
-        Some(mut model) => {
-            // Default-fill variables that appear in the originals but
-            // not in this case (dropped `true` conjuncts, other
-            // disjuncts), then verify everything.
-            let mut all_vars = BTreeMap::new();
-            for c in originals {
-                c.collect_vars(&mut all_vars);
-            }
-            for (id, var) in &all_vars {
-                if model.value(var).is_none() {
-                    match var.ty() {
-                        SymTy::Int => model.set(*id, Value::Int(0)),
-                        SymTy::Bool => model.set(*id, Value::Bool(false)),
-                    }
+    if let Some(mut model) = found {
+        // Default-fill variables that appear in the originals but not in
+        // this case (dropped `true` conjuncts, other disjuncts), then
+        // verify everything.
+        let mut all_vars = BTreeMap::new();
+        for c in originals {
+            c.collect_vars(&mut all_vars);
+        }
+        for (id, var) in &all_vars {
+            if model.value(var).is_none() {
+                match var.ty() {
+                    SymTy::Int => model.set(*id, Value::Int(0)),
+                    SymTy::Bool => model.set(*id, Value::Bool(false)),
                 }
             }
-            if originals.iter().all(|c| model.satisfies(c)) {
-                CaseVerdict::Sat(model)
-            } else {
-                CaseVerdict::Unknown
-            }
         }
-        None => CaseVerdict::Unknown,
-    };
-    (verdict, Some(bounds))
+        if originals.iter().all(|c| model.satisfies(c)) {
+            return (CaseVerdict::Sat(model), Some(bounds));
+        }
+    }
+
+    // No verified model: try for a sound UNSAT via Fourier–Motzkin over
+    // the substituted linear atoms. UNSAT from the linear part alone is
+    // sound even with residual atoms (a residual can only constrain
+    // further). FM cannot refute a system that has a verified integer
+    // model, so running it only now changes no verdict.
+    if let Some(sub) = &substitution {
+        stats.fm_runs += 1;
+        if eliminate(&sub.atoms) == FmResult::Unsat {
+            return (CaseVerdict::Unsat, None);
+        }
+    }
+    (CaseVerdict::Unknown, Some(bounds))
 }
 
 /// Searches the equality-reduced system and back-substitutes the
@@ -648,7 +650,7 @@ fn expand_cases(conjuncts: &[SymExpr], budget: usize) -> Option<Vec<Vec<SymExpr>
 /// The alternative branches contributed by one conjunct: a disjunction
 /// splits, an integer `≠` becomes `<` or `>`, everything else is a single
 /// alternative.
-pub(crate) fn split_alternatives(expr: &SymExpr) -> Vec<Vec<SymExpr>> {
+fn split_alternatives(expr: &SymExpr) -> Vec<Vec<SymExpr>> {
     match expr {
         SymExpr::Binary {
             op: BinOp::Or,

@@ -322,6 +322,15 @@ pub struct ExecStats {
     pub truncated: bool,
     /// Wall-clock time of the exploration.
     pub elapsed: Duration,
+    /// The part of [`ExecStats::elapsed`] spent pushing branch literals,
+    /// deciding them and popping them again. Measured by the serial
+    /// engine only when [`ExecConfig::tracer`] is set (zero otherwise:
+    /// untraced runs take no extra clock reads).
+    pub solver_time: Duration,
+    /// The part of [`ExecStats::elapsed`] spent in
+    /// [`Strategy::should_explore`], under the same conditions as
+    /// [`ExecStats::solver_time`].
+    pub filter_time: Duration,
     /// Solver activity during the run.
     pub solver: SolverStats,
     /// Parallel-frontier activity (all zero on serial runs).
@@ -968,6 +977,13 @@ pub(crate) fn successor_candidates(
     }
 }
 
+/// Adds the time since `mark` to `share` (no-op for an untimed run).
+fn charge(share: &mut Duration, mark: Option<Instant>) {
+    if let Some(mark) = mark {
+        *share += mark.elapsed();
+    }
+}
+
 struct Frame {
     node: NodeId,
     /// Remaining successors, in *reverse* exploration order — the next
@@ -998,6 +1014,23 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
+    /// A start mark for the solver or filter share of the run's time
+    /// ([`ExecStats::solver_time`], [`ExecStats::filter_time`]); `None` on
+    /// untraced runs.
+    fn mark(&self) -> Option<Instant> {
+        self.config.tracer.is_some().then(Instant::now)
+    }
+
+    /// Pops `count` literals off the solver stack, charged to the solver
+    /// share.
+    fn pop_lits(&mut self, count: usize) {
+        let mark = self.mark();
+        for _ in 0..count {
+            self.solver.pop();
+        }
+        charge(&mut self.stats.solver_time, mark);
+    }
+
     fn dfs(&mut self, initial: SymState) {
         let mut stack: Vec<Frame> = Vec::new();
         let root = self.enter(initial, None);
@@ -1011,9 +1044,7 @@ impl Run<'_> {
                 let notified = top.notified;
                 let pushed = top.pushed;
                 stack.pop();
-                for _ in 0..pushed {
-                    self.solver.pop();
-                }
+                self.pop_lits(pushed);
                 if notified {
                     self.strategy.on_leave(node);
                 }
@@ -1034,8 +1065,10 @@ impl Run<'_> {
             // solver only processes the delta. Summary-path literals carry
             // a witness hint that usually answers the checks by evaluation.
             let had_lits = !lits.is_empty();
+            let mark = self.mark();
             let result =
                 push_succ_lits(self.solver, lits, hint.as_ref(), self.config.unknown_is_sat);
+            charge(&mut self.stats.solver_time, mark);
             if from_call && had_lits {
                 if result.hint_verified {
                     self.stats.summary.hint_verified += 1;
@@ -1045,16 +1078,20 @@ impl Run<'_> {
             let pushed = result.pushed;
             if !result.feasible {
                 self.stats.infeasible += 1;
-                for _ in 0..pushed {
-                    self.solver.pop();
-                }
+                self.pop_lits(pushed);
                 continue;
             }
             let filtered = match self.config.filter_scope {
                 FilterScope::AllStates => true,
                 FilterScope::ChoicePoints => forked,
             };
-            if filtered && !self.strategy.should_explore(succ.node) {
+            let explore = !filtered || {
+                let mark = self.mark();
+                let explore = self.strategy.should_explore(succ.node);
+                charge(&mut self.stats.filter_time, mark);
+                explore
+            };
+            if !explore {
                 self.stats.pruned += 1;
                 if self.config.record_pruned {
                     let mut trace = self.trace.clone();
@@ -1066,9 +1103,7 @@ impl Run<'_> {
                         trace,
                     });
                 }
-                for _ in 0..pushed {
-                    self.solver.pop();
-                }
+                self.pop_lits(pushed);
                 continue;
             }
             let mut frame = self.enter(succ, parent_tree);
@@ -1461,8 +1496,8 @@ mod tests {
         let mut executor = Executor::new(&program, "f", config).unwrap();
         let summary = executor.explore(&mut FullExploration);
         let solver = &summary.stats().solver;
-        // Every feasibility check went through the incremental tier; there
-        // is nothing disjunctive here, so no monolithic fallback.
+        // Every feasibility check was decided by the incremental tier; none
+        // came back Unknown, so no monolithic fallback.
         assert_eq!(solver.checks, solver.incremental_checks);
         assert_eq!(solver.fallback_checks, 0);
         // Extending a SAT prefix with an independent branch literal is the
