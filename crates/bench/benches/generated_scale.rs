@@ -62,14 +62,6 @@ fn tiers() -> Vec<Tier> {
     ]
 }
 
-fn config() -> DiseConfig {
-    let mut config = DiseConfig::default();
-    // jobs = 1 keeps the measurement scheduler-free; jobs {1,4} identity
-    // is the generated-corpus gate's job, not this benchmark's.
-    config.exec.jobs = 1;
-    config
-}
-
 /// Pipeline solver calls: checks decided by actually running the
 /// incremental pipeline or the monolithic fallback — the work directed
 /// exploration exists to avoid.
@@ -113,12 +105,18 @@ fn measure(tier: &Tier) -> TierResult {
     let modified_program = evolution.modified.program();
 
     let directed_start = Instant::now();
-    let directed = run_dise(&base_program, &modified_program, PROC_NAME, &config())
-        .expect("directed run succeeds");
+    let directed = run_dise(
+        &base_program,
+        &modified_program,
+        PROC_NAME,
+        &DiseConfig::default(),
+    )
+    .expect("directed run succeeds");
     let directed_ms = directed_start.elapsed().as_secs_f64() * 1000.0;
 
     let full_start = Instant::now();
-    let full = run_full_on(&modified_program, PROC_NAME, &config()).expect("full run succeeds");
+    let full = run_full_on(&modified_program, PROC_NAME, &DiseConfig::default())
+        .expect("full run succeeds");
     let full_ms = full_start.elapsed().as_secs_f64() * 1000.0;
 
     let directed_calls = pipeline_calls(&directed.summary.stats().solver);
@@ -148,15 +146,20 @@ fn benches(c: &mut Criterion) {
     let modified_program = evolution.modified.program();
     c.bench_function("generated_scale/directed_10x", |b| {
         b.iter(|| {
-            let result = run_dise(&base_program, &modified_program, PROC_NAME, &config())
-                .expect("directed run succeeds");
+            let result = run_dise(
+                &base_program,
+                &modified_program,
+                PROC_NAME,
+                &DiseConfig::default(),
+            )
+            .expect("directed run succeeds");
             black_box(result.summary.pc_count())
         })
     });
     c.bench_function("generated_scale/full_10x", |b| {
         b.iter(|| {
-            let summary =
-                run_full_on(&modified_program, PROC_NAME, &config()).expect("full run succeeds");
+            let summary = run_full_on(&modified_program, PROC_NAME, &DiseConfig::default())
+                .expect("full run succeeds");
             black_box(summary.pc_count())
         })
     });
@@ -217,12 +220,11 @@ fn record_generated_scale() {
     let json = format!(
         "{{\n  \"benchmark\": \"generated_scale\",\n  \
          {host},\n  \
-         \"jobs\": 1,\n  \
          \"artifact\": \"dise-gen scenarios at 10x/30x/100x the hand-written artifacts\",\n  \
          \"tiers\": [\n{tiers}\n  ],\n  \
          \"factor_grows_with_size\": {growing},\n  \
          \"note\": \"solver calls = checks that ran a decision pipeline (trie/cache answers \
-         excluded); both runs execute the same flattened modified program at jobs 1, and the \
+         excluded); both runs execute the same flattened modified program, and the \
          directed run's cost tracks the two-edit change while the full run's cost tracks \
          program size, so the full/directed factor grows from the 10x tier to the 100x \
          tier\"\n}}\n",

@@ -2,7 +2,7 @@
 //! coalesced herd through `dise-serve`, recorded to `BENCH_serve.json`
 //! at the workspace root.
 //!
-//! Per artifact pair and per `jobs` ∈ {1, 4} the harness measures:
+//! Per artifact pair the harness measures:
 //!
 //! * `cold_ms` — the first request: full exploration;
 //! * `warm_hit_us` — a repeat request: answered from the session cache.
@@ -10,16 +10,14 @@
 //!   calls and returns the cold request's bytes verbatim;
 //! * the coalescing ratio of an 8-client identical-request herd fired
 //!   at a fresh server: `coalesced + cache_hits` over `requests`, with
-//!   exactly one exploration;
-//! * byte-identity of the jobs=1 and jobs=4 responses (the service
-//!   inherits the frontier's determinism guarantee).
+//!   exactly one exploration.
 
 use criterion::{criterion_group, Criterion};
 use dise_artifacts::{figures, oae, wbs};
 use dise_ir::pretty::pretty_program;
 use dise_ir::Program;
 use dise_serve::{ServeConfig, Server};
-use dise_trace::json::{parse, quote, JsonValue};
+use dise_trace::json::quote;
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -66,11 +64,8 @@ fn analyze_line(case: &Case, id: u64) -> String {
     )
 }
 
-fn server(jobs: usize) -> Server {
-    Server::new(ServeConfig {
-        jobs,
-        ..ServeConfig::default()
-    })
+fn server() -> Server {
+    Server::new(ServeConfig::default())
 }
 
 fn benches(c: &mut Criterion) {
@@ -78,11 +73,11 @@ fn benches(c: &mut Criterion) {
     let line = analyze_line(case, 1);
     c.bench_function("serve/fig2_cold", |b| {
         b.iter(|| {
-            let server = server(1);
+            let server = server();
             black_box(server.handle_line(&line).len())
         })
     });
-    let resident = server(1);
+    let resident = server();
     resident.handle_line(&line);
     c.bench_function("serve/fig2_warm_hit", |b| {
         b.iter(|| black_box(resident.handle_line(&line).len()))
@@ -93,84 +88,64 @@ fn record_serve_throughput() {
     let mut rows = Vec::new();
     let mut all_warm_zero = true;
     let mut all_coalesced_once = true;
-    let mut all_jobs_identical = true;
     let herd = 8usize;
 
     for case in cases() {
-        let mut responses_by_jobs = Vec::new();
-        for jobs in [1usize, 4] {
-            let server = Arc::new(server(jobs));
-            let line = analyze_line(&case, 1);
+        let server = Arc::new(server());
+        let line = analyze_line(&case, 1);
 
-            let cold_start = Instant::now();
-            let cold_response = server.handle_line(&line);
-            let cold_ms = cold_start.elapsed().as_secs_f64() * 1000.0;
-            let after_cold = server.metrics();
+        let cold_start = Instant::now();
+        let cold_response = server.handle_line(&line);
+        let cold_ms = cold_start.elapsed().as_secs_f64() * 1000.0;
+        let after_cold = server.metrics();
 
-            let warm_start = Instant::now();
-            let warm_response = server.handle_line(&line);
-            let warm_hit_us = warm_start.elapsed().as_secs_f64() * 1e6;
-            let after_warm = server.metrics();
-            let warm_solver_calls =
-                after_warm.pipeline_solver_calls - after_cold.pipeline_solver_calls;
-            let warm_zero =
-                warm_solver_calls == 0 && after_warm.explorations == after_cold.explorations;
-            all_warm_zero &= warm_zero;
-            assert_eq!(warm_response, cold_response, "warm hits serve cached bytes");
+        let warm_start = Instant::now();
+        let warm_response = server.handle_line(&line);
+        let warm_hit_us = warm_start.elapsed().as_secs_f64() * 1e6;
+        let after_warm = server.metrics();
+        let warm_solver_calls = after_warm.pipeline_solver_calls - after_cold.pipeline_solver_calls;
+        let warm_zero =
+            warm_solver_calls == 0 && after_warm.explorations == after_cold.explorations;
+        all_warm_zero &= warm_zero;
+        assert_eq!(warm_response, cold_response, "warm hits serve cached bytes");
 
-            // The herd: 8 identical requests against a fresh server.
-            let fresh = Arc::new(self::server(jobs));
-            let barrier = Arc::new(Barrier::new(herd));
-            let handles: Vec<_> = (0..herd)
-                .map(|_| {
-                    let fresh = Arc::clone(&fresh);
-                    let barrier = Arc::clone(&barrier);
-                    let line = line.clone();
-                    std::thread::spawn(move || {
-                        barrier.wait();
-                        fresh.handle_line(&line)
-                    })
+        // The herd: 8 identical requests against a fresh server.
+        let fresh = Arc::new(self::server());
+        let barrier = Arc::new(Barrier::new(herd));
+        let handles: Vec<_> = (0..herd)
+            .map(|_| {
+                let fresh = Arc::clone(&fresh);
+                let barrier = Arc::clone(&barrier);
+                let line = line.clone();
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    fresh.handle_line(&line)
                 })
-                .collect();
-            let herd_responses: Vec<String> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            let herd_metrics = fresh.metrics();
-            let coalesced_once = herd_metrics.explorations == 1
-                && herd_metrics.cache_hits + herd_metrics.coalesced == herd as u64 - 1
-                && herd_responses.iter().all(|r| r == &herd_responses[0]);
-            all_coalesced_once &= coalesced_once;
-            let coalescing_ratio =
-                (herd_metrics.cache_hits + herd_metrics.coalesced) as f64 / herd as f64;
+            })
+            .collect();
+        let herd_responses: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let herd_metrics = fresh.metrics();
+        let coalesced_once = herd_metrics.explorations == 1
+            && herd_metrics.cache_hits + herd_metrics.coalesced == herd as u64 - 1
+            && herd_responses.iter().all(|r| r == &herd_responses[0]);
+        all_coalesced_once &= coalesced_once;
+        let coalescing_ratio =
+            (herd_metrics.cache_hits + herd_metrics.coalesced) as f64 / herd as f64;
 
-            // The deterministic verdict (the `output` member) must be
-            // byte-identical across jobs; the volatile stats record in
-            // the full response legitimately differs.
-            let output = parse(&cold_response)
-                .ok()
-                .and_then(|v| {
-                    v.get("result")
-                        .and_then(|r| r.get("output"))
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                })
-                .expect("cold response carries an output member");
-            responses_by_jobs.push(output);
-            println!(
-                "{} jobs={jobs}: cold {cold_ms:.1} ms, warm hit {warm_hit_us:.0} us \
-                 ({warm_solver_calls} solver calls), herd of {herd}: {} exploration(s), \
-                 coalescing ratio {coalescing_ratio:.2}",
-                case.name, herd_metrics.explorations,
-            );
-            rows.push(format!(
-                "    {{\n      \"artifact\": \"{}\",\n      \"jobs\": {jobs},\n      \
-                 \"cold_ms\": {cold_ms:.2},\n      \"warm_hit_us\": {warm_hit_us:.1},\n      \
-                 \"cold_solver_calls\": {},\n      \"warm_hit_solver_calls\": {warm_solver_calls},\n      \
-                 \"herd_clients\": {herd},\n      \"herd_explorations\": {},\n      \
-                 \"coalescing_ratio\": {coalescing_ratio:.3}\n    }}",
-                case.name, after_cold.pipeline_solver_calls, herd_metrics.explorations,
-            ));
-        }
-        all_jobs_identical &= responses_by_jobs[0] == responses_by_jobs[1];
+        println!(
+            "{}: cold {cold_ms:.1} ms, warm hit {warm_hit_us:.0} us \
+             ({warm_solver_calls} solver calls), herd of {herd}: {} exploration(s), \
+             coalescing ratio {coalescing_ratio:.2}",
+            case.name, herd_metrics.explorations,
+        );
+        rows.push(format!(
+            "    {{\n      \"artifact\": \"{}\",\n      \
+             \"cold_ms\": {cold_ms:.2},\n      \"warm_hit_us\": {warm_hit_us:.1},\n      \
+             \"cold_solver_calls\": {},\n      \"warm_hit_solver_calls\": {warm_solver_calls},\n      \
+             \"herd_clients\": {herd},\n      \"herd_explorations\": {},\n      \
+             \"coalescing_ratio\": {coalescing_ratio:.3}\n    }}",
+            case.name, after_cold.pipeline_solver_calls, herd_metrics.explorations,
+        ));
     }
 
     let json = format!(
@@ -178,19 +153,17 @@ fn record_serve_throughput() {
          \"cases\": [\n{rows}\n  ],\n  \
          \"warm_hits_zero_solver_calls\": {all_warm_zero},\n  \
          \"herds_coalesce_to_one_exploration\": {all_coalesced_once},\n  \
-         \"jobs_1_vs_4_byte_identical\": {all_jobs_identical},\n  \
          \"note\": \"warm_hit_us = answering a repeat request from the session cache (0 \
          explorations, 0 pipeline solver calls); the herd fires 8 byte-identical concurrent \
          requests at a fresh server and must coalesce onto exactly one exploration with every \
-         response byte-identical; the jobs 1 vs 4 output members (the verdict PC block) are \
-         byte-identical because the parallel frontier is deterministic\"\n}}\n",
+         response byte-identical\"\n}}\n",
         rows = rows.join(",\n"),
         host = dise_bench::host_metadata_json(),
     );
     dise_bench::write_bench_json("BENCH_serve.json", &json);
     println!(
         "serve: warm hits zero solver calls: {all_warm_zero}; herds coalesce: \
-         {all_coalesced_once}; jobs 1 vs 4 byte-identical: {all_jobs_identical}"
+         {all_coalesced_once}"
     );
 }
 

@@ -40,18 +40,6 @@ use dise_ir::Program;
 use std::hint::black_box;
 use std::time::Instant;
 
-fn config() -> DiseConfig {
-    // jobs = 1 keeps the measurement scheduler-free; identity at jobs = 4
-    // is pinned by tests/session_reuse.rs.
-    DiseConfig {
-        exec: dise_symexec::ExecConfig {
-            jobs: 1,
-            ..dise_symexec::ExecConfig::default()
-        },
-        ..DiseConfig::default()
-    }
-}
-
 struct Case {
     name: &'static str,
     version: String,
@@ -169,9 +157,13 @@ fn benches(c: &mut Criterion) {
     });
     c.bench_function("session_reuse/evolve_all_shared", |b| {
         b.iter(|| {
-            let mut session =
-                AnalysisSession::open(&case.base, &case.modified, case.proc_name, config())
-                    .expect("session opens");
+            let mut session = AnalysisSession::open(
+                &case.base,
+                &case.modified,
+                case.proc_name,
+                DiseConfig::default(),
+            )
+            .expect("session opens");
             black_box(run_shared(&mut session).report.len())
         })
     });
@@ -188,8 +180,13 @@ fn record_session_reuse() {
         // applications each trigger.
         let mut independent_checks = 0u64;
         for _ in 0..4 {
-            let result = run_dise(&case.base, &case.modified, case.proc_name, &config())
-                .expect("pipeline runs");
+            let result = run_dise(
+                &case.base,
+                &case.modified,
+                case.proc_name,
+                &DiseConfig::default(),
+            )
+            .expect("pipeline runs");
             independent_checks += checks(&result);
         }
         let standalone_start = Instant::now();
@@ -198,9 +195,13 @@ fn record_session_reuse() {
 
         // Session path: one exploration serves all four applications.
         let session_start = Instant::now();
-        let mut session =
-            AnalysisSession::open(&case.base, &case.modified, case.proc_name, config())
-                .expect("session opens");
+        let mut session = AnalysisSession::open(
+            &case.base,
+            &case.modified,
+            case.proc_name,
+            DiseConfig::default(),
+        )
+        .expect("session opens");
         let shared = run_shared(&mut session);
         let session_ms = session_start.elapsed().as_secs_f64() * 1000.0;
         let session_checks = checks(&session.result().expect("cached result"));
@@ -238,13 +239,19 @@ fn record_session_reuse() {
     let pipeline_calls = |r: &DiseResult| {
         r.summary.stats().solver.incremental_checks + r.summary.stats().solver.fallback_checks
     };
-    let mut session = AnalysisSession::open(&artifact.base, &v2, artifact.proc_name, config())
-        .expect("session opens");
+    let mut session = AnalysisSession::open(
+        &artifact.base,
+        &v2,
+        artifact.proc_name,
+        DiseConfig::default(),
+    )
+    .expect("session opens");
     session.result().expect("hop 1 runs");
     let mut session = session.advance(&v4).expect("chain advances");
     let chained = session.result().expect("hop 2 runs");
-    let independent = run_dise(&v2, &v4, artifact.proc_name, &config()).expect("pipeline runs");
-    let chain_warm = chained.summary.stats().frontier.warm_trie_entries;
+    let independent =
+        run_dise(&v2, &v4, artifact.proc_name, &DiseConfig::default()).expect("pipeline runs");
+    let chain_warm = chained.summary.stats().warm_trie_entries;
     let (chain_calls, independent_calls) = (pipeline_calls(&chained), pipeline_calls(&independent));
 
     let max_reduction = reductions.iter().cloned().fold(0.0f64, f64::max);
@@ -252,7 +259,6 @@ fn record_session_reuse() {
     let json = format!(
         "{{\n  \"benchmark\": \"session_reuse\",\n  \
          {host},\n  \
-         \"jobs\": 1,\n  \
          \"cases\": [\n{rows}\n  ],\n  \
          \"min_check_reduction\": {min_reduction:.2},\n  \
          \"max_check_reduction\": {max_reduction:.2},\n  \

@@ -20,19 +20,13 @@ use criterion::{criterion_group, Criterion};
 use dise_artifacts::{asw, figures, oae, wbs};
 use dise_core::dise::{run_dise, DiseConfig, DiseResult};
 use dise_ir::Program;
-use dise_symexec::{ExecConfig, SymbolicSummary};
+use dise_symexec::SymbolicSummary;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 fn config(store: Option<PathBuf>) -> DiseConfig {
     DiseConfig {
-        // jobs = 1 keeps the measurement scheduler-free; determinism at
-        // jobs = 4 is pinned by tests/store_warm.rs.
-        exec: ExecConfig {
-            jobs: 1,
-            ..ExecConfig::default()
-        },
         store,
         ..DiseConfig::default()
     }
@@ -205,7 +199,6 @@ fn record_store_warm_comparison() {
     let json = format!(
         "{{\n  \"benchmark\": \"store_warm_vs_cold\",\n  \
          {host},\n  \
-         \"jobs\": 1,\n  \
          \"cases\": [\n{rows}\n  ],\n  \
          \"warm_strictly_fewer_solver_calls\": {all_strictly_fewer},\n  \
          \"min_solve_reduction\": {min_reduction:.2},\n  \

@@ -75,10 +75,7 @@ fn versions() -> (Program, Program, Program) {
 
 fn config(mode: SummaryMode, store: Option<PathBuf>) -> DiseConfig {
     DiseConfig {
-        // jobs = 1 keeps the measurement scheduler-free; determinism at
-        // jobs = 4 is checked by the identity leg below.
         exec: ExecConfig {
-            jobs: 1,
             summaries: mode,
             ..ExecConfig::default()
         },
@@ -194,17 +191,10 @@ fn record_summary_reuse() {
         .sum();
     std::fs::remove_dir_all(&cold_dir).ok();
 
-    // Leg 3: determinism at jobs 1 and 4.
-    let mut deterministic = true;
-    for jobs in [1usize, 4] {
-        let mut on = config(SummaryMode::On, None);
-        on.exec.jobs = jobs;
-        let mut off = config(SummaryMode::Off, None);
-        off.exec.jobs = jobs;
-        let s = run_full_on(&v2, "main", &on).expect("summarized runs");
-        let i = run_full_on(&v2, "main", &off).expect("inlined runs");
-        deterministic &= verdicts_identical(&s, &i);
-    }
+    // Leg 3: summarized and inlined verdicts agree.
+    let s = run_full_on(&v2, "main", &config(SummaryMode::On, None)).expect("summarized runs");
+    let i = run_full_on(&v2, "main", &config(SummaryMode::Off, None)).expect("inlined runs");
+    let deterministic = verdicts_identical(&s, &i);
 
     let meets_bar = cold_reduction >= 3.0;
     let zero_warm_solver_calls =
@@ -219,12 +209,11 @@ fn record_summary_reuse() {
          instantiated, {warm_hint_verified} witness-verified, {warm_fallback} fallback checks, \
          {warm_build_calls} build calls"
     );
-    println!("deterministic at jobs 1 and 4: {deterministic}");
+    println!("summarized verdicts identical to inlined: {deterministic}");
 
     let json = format!(
         "{{\n  \"benchmark\": \"summary_reuse_vs_inlined\",\n  \
          {host},\n  \
-         \"jobs\": 1,\n  \
          \"artifact\": \"interprocedural brake (3-path callee, 4 dispatches)\",\n  \
          \"inlined_ms\": {inlined_ms:.2},\n  \"summarized_ms\": {summarized_ms:.2},\n  \
          \"inlined_solver_calls\": {inlined_calls},\n  \
@@ -240,7 +229,7 @@ fn record_summary_reuse() {
          \"fallback_checks\": {warm_fallback},\n    \
          \"build_calls\": {warm_build_calls},\n    \
          \"zero_solver_calls_at_call_sites\": {zero_warm_solver_calls}\n  }},\n  \
-         \"deterministic_jobs_1_and_4\": {deterministic},\n  \
+         \"summarized_identical_to_inlined\": {deterministic},\n  \
          \"note\": \"solver calls = checks that ran a decision pipeline (trie/cache answers \
          excluded); the summarized total includes the callee build cost, and the cross-version \
          leg revives the stored summary of an unchanged callee, answering every call site from \

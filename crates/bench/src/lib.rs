@@ -14,12 +14,11 @@
 
 /// Version of the `host` metadata block's own schema (bump when fields
 /// change meaning, independently of each benchmark's payload).
-/// Version 2 added `trace_schema_version`.
-pub const BENCH_METADATA_VERSION: u32 = 2;
+/// Version 2 added `trace_schema_version`; version 3 dropped `dise_jobs`.
+pub const BENCH_METADATA_VERSION: u32 = 3;
 
 /// The `"host": {...}` JSON fragment recorded by every `BENCH_*.json`
-/// emitter: logical core count, the `DISE_JOBS` environment setting the
-/// run saw (`"unset"` when absent), the metadata schema version, and the
+/// emitter: logical core count, the metadata schema version, and the
 /// trace-event schema version the toolchain speaks (so a bench payload
 /// can be correlated with `--trace-json` logs from the same checkout).
 ///
@@ -28,7 +27,7 @@ pub const BENCH_METADATA_VERSION: u32 = 2;
 /// ```
 /// let host = dise_bench::host_metadata_json();
 /// assert!(host.starts_with("\"host\": {\"logical_cores\":"));
-/// assert!(host.contains("\"bench_metadata_version\": 2"));
+/// assert!(host.contains("\"bench_metadata_version\": 3"));
 /// assert!(host.contains("\"trace_schema_version\": 1"));
 /// ```
 pub fn host_metadata_json() -> String {
@@ -50,14 +49,13 @@ pub fn host_metadata_json_with(extra: &str) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let jobs = std::env::var("DISE_JOBS").unwrap_or_else(|_| "unset".to_string());
     let extra = if extra.is_empty() {
         String::new()
     } else {
         format!(", {extra}")
     };
     format!(
-        "\"host\": {{\"logical_cores\": {cores}, \"dise_jobs\": \"{jobs}\", \
+        "\"host\": {{\"logical_cores\": {cores}, \
          \"bench_metadata_version\": {BENCH_METADATA_VERSION}, \
          \"trace_schema_version\": {}{extra}}}",
         dise_trace::TRACE_SCHEMA_VERSION
@@ -87,7 +85,6 @@ mod tests {
     fn metadata_reports_at_least_one_core() {
         let fragment = host_metadata_json();
         assert!(fragment.contains("\"logical_cores\": "));
-        assert!(fragment.contains("\"dise_jobs\": \""));
         let cores: usize = fragment
             .split("\"logical_cores\": ")
             .nth(1)

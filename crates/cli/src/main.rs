@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dise run <v1.mj> <v2.mj> [<v3.mj> …] <proc> [--full] [--trace] [--simplify]
-//!          [--reaching-defs] [--jobs N] [--summaries on|off|auto]
+//!          [--reaching-defs] [--summaries on|off|auto]
 //!          [--store DIR] [--stats json|text]
 //!          [--trace-json FILE] [--trace-chrome FILE]
 //!     Diff consecutive program versions and report the affected path
@@ -15,11 +15,6 @@
 //!     --trace          print the Fig. 5(b) and Table 1 style traces
 //!     --simplify       subsume redundant bounds in printed path conditions
 //!     --reaching-defs  use the precise data-flow premise (ablation mode)
-//!     --jobs N         explore the --full run with N parallel frontier
-//!                      workers (default 1, or the DISE_JOBS environment
-//!                      variable); paths and path conditions are identical
-//!                      to the serial run. The directed (DiSE) run is
-//!                      order-dependent and always explores serially
 //!     --summaries      procedure-summary mode for the --full run (default
 //!                      `auto`, or the DISE_SUMMARIES environment variable):
 //!                      `auto`/`on` explore each callee once and instantiate
@@ -76,12 +71,12 @@
 //!     --out DIR   write pairNNNN_base.mj / pairNNNN_mod.mj plus a
 //!                 manifest.json recording params, edits, and ground-truth
 //!                 markers
-//!     --verify    run the four-check differential harness on every pair
-//!                 (ground-truth coverage, jobs {1,4} determinism,
-//!                 summaries on/off equivalence, warm ≡ cold) and fail on
-//!                 the first violation
+//!     --verify    run the three-check differential harness on every pair
+//!                 (ground-truth coverage, summaries on/off
+//!                 equivalence, warm ≡ cold ≡ session) and fail on the
+//!                 first violation
 //!
-//! dise serve [--jobs N] [--pool N] [--cache-bytes N] [--request-workers N]
+//! dise serve [--cache-bytes N] [--request-workers N]
 //!            [--store DIR] [--trace-json DIR] [--listen ADDR]
 //!     Resident analysis service: newline-delimited JSON-RPC 2.0 over
 //!     stdin/stdout (or a TCP listener with --listen). Methods `analyze`,
@@ -93,13 +88,10 @@
 //!     members of each response are byte-identical to the one-shot
 //!     subcommand's output (for `analyze`, the indented PC block of
 //!     `dise run … --stats json` minus the registry lines).
-//!     --jobs N           frontier workers per exploration (default 1 or
-//!                        DISE_JOBS)
-//!     --pool N           total frontier-worker tokens across concurrent
-//!                        explorations (default: available parallelism)
 //!     --cache-bytes N    session-cache byte budget (default 64 MiB)
-//!     --request-workers N request-handler threads (default scales with
-//!                        the pool)
+//!     --request-workers N request-handler threads, and so the bound on
+//!                        concurrent explorations (default: available
+//!                        parallelism + 2, at most 32)
 //!     --store DIR        shared persistent store (default DISE_STORE);
 //!                        saves take the store's advisory lock, so the
 //!                        server can share DIR with one-shot runs
@@ -203,12 +195,12 @@ fn dispatch(args: Vec<String>) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage:
-  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--jobs N] [--summaries on|off|auto] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
+  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--summaries on|off|auto] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
   dise profile <base.mj> <modified.mj> <proc> [--full]
   dise trace validate <FILE>
   dise evolve <base.mj> <modified.mj> <proc>
   dise gen [--seed N] [--pairs N] [--edits N] [--arms N] [--guard-depth N] [--helpers N] [--call-depth N] [--globals N] [--out DIR] [--verify]
-  dise serve [--jobs N] [--pool N] [--cache-bytes N] [--request-workers N] [--store DIR] [--trace-json DIR] [--listen ADDR]
+  dise serve [--cache-bytes N] [--request-workers N] [--store DIR] [--trace-json DIR] [--listen ADDR]
   dise store stat|clear [DIR]
   dise tests <base.mj> <modified.mj> <proc>
   dise inspect <file.mj> <proc> [--dot]
@@ -230,13 +222,6 @@ fn load(path: &str) -> Result<Program, String> {
     Ok(program)
 }
 
-fn parse_jobs_value(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err("--jobs expects a worker count of at least 1".to_string()),
-    }
-}
-
 fn parse_summaries_value(value: &str) -> Result<dise_symexec::SummaryMode, String> {
     dise_symexec::SummaryMode::parse(value)
         .ok_or_else(|| "--summaries expects `on`, `off`, or `auto`".to_string())
@@ -251,14 +236,13 @@ fn parse_stats_value(value: &str) -> Result<bool, String> {
     }
 }
 
-/// `run` parses its own arguments: `--jobs`, `--summaries` and others
-/// take a value (`--jobs N` or `--jobs=N`), so the generic
+/// `run` parses its own arguments: `--summaries` and others take a
+/// value (`--summaries on` or `--summaries=on`), so the generic
 /// flag/positional split of [`dispatch`] would misfile the value as a
 /// positional; unknown flags and stray positionals are rejected instead
 /// of silently ignored.
 fn run_command(args: &[String]) -> Result<(), String> {
     const KNOWN_FLAGS: [&str; 4] = ["--full", "--trace", "--simplify", "--reaching-defs"];
-    let mut jobs = dise_symexec::ExecConfig::default().jobs;
     let mut summaries = dise_symexec::ExecConfig::default().summaries;
     let mut store: Option<std::path::PathBuf> = std::env::var_os("DISE_STORE")
         .filter(|v| !v.is_empty())
@@ -271,14 +255,7 @@ fn run_command(args: &[String]) -> Result<(), String> {
     let mut seen_command = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if let Some(value) = arg.strip_prefix("--jobs=") {
-            jobs = parse_jobs_value(value)?;
-        } else if arg == "--jobs" {
-            let value = iter
-                .next()
-                .ok_or_else(|| "--jobs expects a worker count of at least 1".to_string())?;
-            jobs = parse_jobs_value(value)?;
-        } else if let Some(value) = arg.strip_prefix("--summaries=") {
+        if let Some(value) = arg.strip_prefix("--summaries=") {
             summaries = parse_summaries_value(value)?;
         } else if arg == "--summaries" {
             let value = iter
@@ -343,7 +320,6 @@ fn run_command(args: &[String]) -> Result<(), String> {
     };
     let config = DiseConfig {
         exec: dise_symexec::ExecConfig {
-            jobs,
             summaries,
             tracer: tracer.as_ref().map(|t| TraceHandle::new(t.clone())),
             ..Default::default()
@@ -845,7 +821,6 @@ fn serve_command(args: &[String]) -> Result<(), String> {
     };
     let mut request_workers = 0usize; // 0 = front-end default
     let mut listen: Option<String> = None;
-    let mut pool_set = false;
     let parse_count = |flag: &str, value: &str| -> Result<usize, String> {
         match value.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
@@ -864,12 +839,7 @@ fn serve_command(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("{flag} expects a value")),
             }
         };
-        if arg == "--jobs" || arg.starts_with("--jobs=") {
-            config.jobs = parse_count("--jobs", &value_of("--jobs")?)?;
-        } else if arg == "--pool" || arg.starts_with("--pool=") {
-            config.pool = parse_count("--pool", &value_of("--pool")?)?;
-            pool_set = true;
-        } else if arg == "--cache-bytes" || arg.starts_with("--cache-bytes=") {
+        if arg == "--cache-bytes" || arg.starts_with("--cache-bytes=") {
             config.cache_bytes = parse_count("--cache-bytes", &value_of("--cache-bytes")?)?;
         } else if arg == "--request-workers" || arg.starts_with("--request-workers=") {
             request_workers = parse_count("--request-workers", &value_of("--request-workers")?)?;
@@ -887,12 +857,6 @@ fn serve_command(args: &[String]) -> Result<(), String> {
             return Err(format!("unexpected argument `{arg}` for `serve`\n{USAGE}"));
         }
     }
-    if pool_set && config.pool < config.jobs {
-        return Err("--pool must be at least --jobs".to_string());
-    }
-    // The default pool follows the host; an explicit --jobs above it
-    // still needs that many tokens for one exploration.
-    config.pool = config.pool.max(config.jobs);
     let server = Arc::new(dise_serve::Server::new(config));
     match listen {
         Some(addr) => dise_serve::serve_tcp(server, &addr, request_workers, |bound| {

@@ -122,59 +122,6 @@ fn run_reports_affected_path_conditions() {
 }
 
 #[test]
-fn run_with_jobs_matches_serial_output() {
-    let fx = fixture();
-    let base = fx.base.to_str().unwrap();
-    let modified = fx.modified.to_str().unwrap();
-    let serial = dise(&["run", base, modified, "f", "--full", "--jobs", "1"]);
-    let parallel = dise(&["run", base, modified, "f", "--full", "--jobs", "4"]);
-    assert!(serial.status.success(), "{}", stderr(&serial));
-    assert!(parallel.status.success(), "{}", stderr(&parallel));
-    // Timing and solver counters legitimately differ; the reported path
-    // conditions (the indented lines) must be identical and non-empty.
-    let pcs = |out: &Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| l.starts_with("  "))
-            .map(str::to_owned)
-            .collect()
-    };
-    let serial_pcs = pcs(&serial);
-    assert!(!serial_pcs.is_empty());
-    assert_eq!(serial_pcs, pcs(&parallel));
-}
-
-#[test]
-fn run_accepts_the_equals_form_of_jobs() {
-    let fx = fixture();
-    let out = dise(&[
-        "run",
-        fx.base.to_str().unwrap(),
-        fx.modified.to_str().unwrap(),
-        "f",
-        "--jobs=4",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("affected path conditions"));
-}
-
-#[test]
-fn run_rejects_a_bad_jobs_value() {
-    let fx = fixture();
-    let base = fx.base.to_str().unwrap();
-    let modified = fx.modified.to_str().unwrap();
-    for bad in [
-        &["run", base, modified, "f", "--jobs", "0"][..],
-        &["run", base, modified, "f", "--jobs"][..],
-        &["run", base, modified, "f", "--jobs=zero"][..],
-    ] {
-        let out = dise(bad);
-        assert!(!out.status.success(), "{bad:?}");
-        assert!(stderr(&out).contains("--jobs"), "{}", stderr(&out));
-    }
-}
-
-#[test]
 fn run_rejects_unknown_flags_and_bad_positionals() {
     let fx = fixture();
     let base = fx.base.to_str().unwrap();
@@ -578,8 +525,8 @@ fn run_stats_json_replaces_stats_lines_with_registry_dumps() {
     assert!(dumps[2].contains(r#""scope":"full""#), "{}", dumps[2]);
     // Path conditions still print for byte-diffing.
     assert!(text.contains("X >= 0"), "{text}");
-    // The stable dump is byte-identical across jobs settings — the CI
-    // byte-diff leg's contract.
+    // The stable dump is byte-identical with summaries on or off — the
+    // contract the CI byte-diff legs build on.
     let stable = |out: &Output| -> Vec<String> {
         stdout(out)
             .lines()
@@ -587,17 +534,17 @@ fn run_stats_json_replaces_stats_lines_with_registry_dumps() {
             .map(str::to_owned)
             .collect()
     };
-    let parallel = dise(&[
+    let inlined = dise(&[
         "run",
         fx.base.to_str().unwrap(),
         fx.modified.to_str().unwrap(),
         "f",
         "--full",
         "--stats=json",
-        "--jobs=4",
+        "--summaries=off",
     ]);
-    assert!(parallel.status.success(), "{}", stderr(&parallel));
-    assert_eq!(stable(&out), stable(&parallel));
+    assert!(inlined.status.success(), "{}", stderr(&inlined));
+    assert_eq!(stable(&out), stable(&inlined));
 }
 
 #[test]
@@ -901,36 +848,32 @@ fn serve_analyze_output_is_byte_identical_to_the_one_shot_residue() {
     let fx = fixture();
     let base = fx.base.to_str().unwrap();
     let modified = fx.modified.to_str().unwrap();
-    for jobs in ["1", "4"] {
-        // The one-shot verdict residue: `--stats json` stdout minus the
-        // registry lines.
-        let one_shot = dise(&[
-            "run", base, modified, "f", "--stats", "json", "--jobs", jobs,
-        ]);
-        assert!(one_shot.status.success(), "{}", stderr(&one_shot));
-        let residue: String = stdout(&one_shot)
-            .lines()
-            .filter(|l| !l.starts_with('{'))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(!residue.is_empty());
+    // The one-shot verdict residue: `--stats json` stdout minus the
+    // registry lines.
+    let one_shot = dise(&["run", base, modified, "f", "--stats", "json"]);
+    assert!(one_shot.status.success(), "{}", stderr(&one_shot));
+    let residue: String = stdout(&one_shot)
+        .lines()
+        .filter(|l| !l.starts_with('{'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(!residue.is_empty());
 
-        let request = format!(
-            "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"analyze\",\"params\":{{\
-             \"request_id\":\"e2e\",\"proc\":\"f\",\"base_path\":{base:?},\"mod_path\":{modified:?}}}}}",
-        );
-        let lines = serve_session(&["--jobs", jobs], &[request.clone(), request]);
-        assert_eq!(lines.len(), 2, "one response per request: {lines:?}");
-        let value = response_with_id(&lines, 1);
-        assert_eq!(
-            result_str(&value, "output"),
-            residue,
-            "serve output must be byte-identical to the one-shot residue (jobs={jobs})"
-        );
-        assert_eq!(result_str(&value, "request_id"), "e2e");
-        // The repeat is a cache hit or coalesced follower: same bytes.
-        assert_eq!(lines[0], lines[1], "identical requests, identical bytes");
-    }
+    let request = format!(
+        "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"analyze\",\"params\":{{\
+         \"request_id\":\"e2e\",\"proc\":\"f\",\"base_path\":{base:?},\"mod_path\":{modified:?}}}}}",
+    );
+    let lines = serve_session(&[], &[request.clone(), request]);
+    assert_eq!(lines.len(), 2, "one response per request: {lines:?}");
+    let value = response_with_id(&lines, 1);
+    assert_eq!(
+        result_str(&value, "output"),
+        residue,
+        "serve output must be byte-identical to the one-shot residue"
+    );
+    assert_eq!(result_str(&value, "request_id"), "e2e");
+    // The repeat is a cache hit or coalesced follower: same bytes.
+    assert_eq!(lines[0], lines[1], "identical requests, identical bytes");
 }
 
 #[test]

@@ -90,10 +90,9 @@ fn transfer(from: &mut [u64], to: &mut [u64], w: usize, nodes: u64) {
 /// works a word at a time against the shared [`Reachability`] rows; they
 /// become `BTreeSet`s only in Table 1 trace rows.
 ///
-/// Deliberately not forkable ([`Strategy::fork`] keeps its `None`
-/// default): the explored-set resets depend on which sibling subtree ran
-/// first, so forked copies would diverge from the serial result. The
-/// executor therefore runs it serially at any `jobs`.
+/// The explored-set resets depend on which sibling subtree ran first, so
+/// the strategy is only meaningful on the executor's single depth-first
+/// walk.
 #[derive(Debug, Clone)]
 pub struct DirectedStrategy<'r> {
     reach: &'r Reachability,

@@ -12,8 +12,7 @@
 //! * [`directed`] — the directed symbolic execution strategy of Fig. 6
 //!   (explored/unexplored sets, `AffectedLocIsReachable`, `CheckLoops`),
 //!   plugged into the [`dise_symexec`] engine, with an optional trace
-//!   capture reproducing Table 1. The strategy is order-dependent, so
-//!   directed runs explore serially at any `jobs`;
+//!   capture reproducing Table 1;
 //! * [`session`] — the staged pipeline: an [`AnalysisSession`] computes
 //!   explicit `Flattened → Diffed → Affected → Explored` artifacts
 //!   lazily, caches them, and shares them across any number of

@@ -9,17 +9,17 @@
 //!
 //! | prefix      | source                      | stability |
 //! |-------------|-----------------------------|-----------|
-//! | `exec.*`    | [`ExecStats`] path counters | stable    |
+//! | `exec.*`    | [`ExecStats`] path counters | stable¹   |
 //! | `solver.*`  | `SolverStats`               | volatile  |
-//! | `frontier.*`| `FrontierStats`             | volatile  |
 //! | `summary.*` | `SummaryStats` (via exec)   | volatile  |
 //! | `stage.*`   | [`StageTimings`] (ns)       | volatile  |
 //! | `pipeline.*`| [`DiseResult`] structure    | stable    |
 //! | `affected.*`| [`FixpointStats`]           | stable    |
 //! | `store.*`   | [`StoreStatus`]             | stable¹   |
 //!
-//! ¹ except `store.warm_trie_entries`, whose value depends on what an
-//! earlier (possibly differently-parallel) run recorded.
+//! ¹ except `exec.elapsed_ns`, and `exec.warm_trie_entries` and
+//! `store.warm_trie_entries`, whose values depend on what an earlier run
+//! recorded (a warm store or an earlier pipeline stage).
 //!
 //! [`FixpointStats`]: crate::affected::FixpointStats
 //!
@@ -27,11 +27,11 @@
 //!
 //! **Stable** metrics are structural facts of the analysis — states,
 //! paths, changed/affected nodes, path-condition counts — and are
-//! byte-identical across `DISE_JOBS` settings; the determinism tests
-//! and the CI byte-diff legs compare exactly
+//! byte-identical across warm and cold stores and with summaries on or
+//! off; the determinism tests and the CI byte-diff legs compare exactly
 //! [`MetricsRegistry::stable_json`]. **Volatile** metrics (solver
-//! attribution, frontier scheduling, timings) are real but depend on
-//! scheduling, caching, and the clock.
+//! attribution, warm-start sizes, timings) are real but depend on
+//! caching and the clock.
 
 use dise_symexec::ExecStats;
 use dise_trace::{MetricsRegistry, Stability};
@@ -40,10 +40,10 @@ use crate::dise::{DiseResult, StoreStatus};
 use crate::session::StageTimings;
 
 /// Projects an exploration's [`ExecStats`] (including its nested
-/// solver, frontier, and summary stats) onto a registry.
+/// solver and summary stats) onto a registry.
 pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
-    // Structural path counters: identical across jobs settings.
+    // Structural path counters: identical across warm and cold runs.
     reg.set_counter(
         "exec.states_explored",
         stats.states_explored,
@@ -68,8 +68,13 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         stats.elapsed.as_nanos() as u64,
         Stability::Volatile,
     );
+    reg.set_counter(
+        "exec.warm_trie_entries",
+        stats.warm_trie_entries,
+        Stability::Volatile,
+    );
 
-    // Solver attribution: which tier answered varies with scheduling.
+    // Solver attribution: which tier answered varies with warm state.
     let s = &stats.solver;
     reg.set_counter("solver.checks", s.checks, Stability::Volatile);
     reg.set_counter(
@@ -99,11 +104,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         Stability::Volatile,
     );
     reg.set_counter(
-        "solver.shared_trie_hits",
-        s.shared_trie_hits,
-        Stability::Volatile,
-    );
-    reg.set_counter(
         "solver.cache_evictions",
         s.cache_evictions,
         Stability::Volatile,
@@ -118,27 +118,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
     reg.set_counter("solver.sat", s.sat, Stability::Volatile);
     reg.set_counter("solver.unsat", s.unsat, Stability::Volatile);
     reg.set_counter("solver.unknown", s.unknown, Stability::Volatile);
-
-    // Frontier scheduling: inherently run-dependent.
-    let f = &stats.frontier;
-    reg.set_counter("frontier.workers", f.workers, Stability::Volatile);
-    reg.set_counter("frontier.tasks", f.tasks, Stability::Volatile);
-    reg.set_counter("frontier.steals", f.steals, Stability::Volatile);
-    reg.set_counter(
-        "frontier.replayed_literals",
-        f.replayed_literals,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "frontier.shared_trie_entries",
-        f.shared_trie_entries,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "frontier.warm_trie_entries",
-        f.warm_trie_entries,
-        Stability::Volatile,
-    );
 
     // Summary instantiation: counts follow the exploration order.
     let m = &stats.summary;

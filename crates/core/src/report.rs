@@ -139,15 +139,14 @@ pub fn solver_stats_line(reg: &MetricsRegistry) -> String {
     };
     format!(
         "{} checks ({} incremental, {} fallback, {} model-reuse), \
-         {} cache hits, {} prefix-trie hits, {} shared-trie hits, \
-         {} unsat-prefix kills, hit rate {}",
+         {} cache hits, {} prefix-trie hits, {} unsat-prefix kills, \
+         hit rate {}",
         checks,
         reg.counter("solver.incremental_checks"),
         reg.counter("solver.fallback_checks"),
         reg.counter("solver.model_reuse_hits"),
         reg.counter("solver.cache_hits"),
         reg.counter("solver.prefix_cache_hits"),
-        reg.counter("solver.shared_trie_hits"),
         reg.counter("solver.prefix_unsat_kills"),
         hit_rate,
     )
@@ -305,8 +304,8 @@ mod tests {
         assert_eq!(
             solver_stats_line(&exec_registry(&ExecStats::default())),
             "0 checks (0 incremental, 0 fallback, 0 model-reuse), \
-             0 cache hits, 0 prefix-trie hits, 0 shared-trie hits, \
-             0 unsat-prefix kills, hit rate n/a"
+             0 cache hits, 0 prefix-trie hits, 0 unsat-prefix kills, \
+             hit rate n/a"
         );
         // An empty registry renders the same quiescent line.
         assert_eq!(

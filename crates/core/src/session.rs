@@ -620,9 +620,7 @@ impl AnalysisSession {
                     ),
                     (
                         "solver.cache_hits".to_string(),
-                        s.solver.cache_hits
-                            + s.solver.prefix_cache_hits
-                            + s.solver.shared_trie_hits,
+                        s.solver.cache_hits + s.solver.prefix_cache_hits,
                     ),
                 ],
             );
@@ -935,7 +933,7 @@ pub(crate) fn flatten<'p>(
 }
 
 /// Re-parents the exec config's trace handle under `span`, so spans the
-/// layer below records (frontier workers, summary builds) nest there.
+/// layer below records (summary builds) nest there.
 /// With no tracer or no open span this is a plain clone.
 fn reparented(exec: &ExecConfig, span: &Option<dise_trace::OpenSpan>) -> ExecConfig {
     let mut exec = exec.clone();
@@ -1152,7 +1150,7 @@ mod tests {
         // the solver-call reduction on genuinely overlapping hops is
         // pinned by tests/session_reuse.rs on the WBS chain).
         assert!(
-            chained.summary.stats().frontier.warm_trie_entries > 0,
+            chained.summary.stats().warm_trie_entries > 0,
             "hop 2 must start with hop 1's trie"
         );
     }

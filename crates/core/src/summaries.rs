@@ -183,7 +183,6 @@ mod tests {
     fn exec(mode: SummaryMode) -> ExecConfig {
         ExecConfig {
             summaries: mode,
-            jobs: 1,
             ..ExecConfig::default()
         }
     }

@@ -2,7 +2,7 @@
 //! randomized call graphs, a full exploration that instantiates interned
 //! procedure summaries at call sites must be indistinguishable — path
 //! conditions, outcomes, observable effects, and witness sets — from the
-//! classic run that inlines every callee, at `jobs = 1` and `jobs = 4`.
+//! classic run that inlines every callee.
 //!
 //! The generator mixes actual-argument shapes deliberately: plain caller
 //! formals (the witness fast path), constants, and compound expressions
@@ -113,22 +113,19 @@ proptest! {
         let src = random_program(&mut Gen(seed | 1));
         let program = parse_program(&src).unwrap();
         check_program(&program).unwrap();
-        for jobs in [1usize, 4] {
-            let mut on = DiseConfig::default();
-            on.exec.jobs = jobs;
-            on.exec.summaries = SummaryMode::On;
-            let mut off = on.clone();
-            off.exec.summaries = SummaryMode::Off;
-            let summarized = run_full_on(&program, "main", &on).unwrap();
-            let inlined = run_full_on(&program, "main", &off).unwrap();
-            prop_assert!(
-                summarized.stats().summary.call_sites > 0,
-                "generator produced a program the gates refused:\n{src}"
-            );
-            prop_assert_eq!(summarized.paths().len(), inlined.paths().len());
-            for (s, i) in summarized.paths().iter().zip(inlined.paths()) {
-                paths_agree(s, i);
-            }
+        let mut on = DiseConfig::default();
+        on.exec.summaries = SummaryMode::On;
+        let mut off = on.clone();
+        off.exec.summaries = SummaryMode::Off;
+        let summarized = run_full_on(&program, "main", &on).unwrap();
+        let inlined = run_full_on(&program, "main", &off).unwrap();
+        prop_assert!(
+            summarized.stats().summary.call_sites > 0,
+            "generator produced a program the gates refused:\n{src}"
+        );
+        prop_assert_eq!(summarized.paths().len(), inlined.paths().len());
+        for (s, i) in summarized.paths().iter().zip(inlined.paths()) {
+            paths_agree(s, i);
         }
     }
 }

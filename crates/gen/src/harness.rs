@@ -1,4 +1,4 @@
-//! The ground-truth differential harness — four checks per
+//! The ground-truth differential harness — three checks per
 //! `(base, modified)` pair.
 //!
 //! [`check_pair`] runs the full DiSE pipeline on a generated scenario and
@@ -9,19 +9,19 @@
 //!    [`nodes_with_marker`]) is contained in the computed affected sets
 //!    (`ACN ∪ AWN`), and every edited marker is actually present in the
 //!    flattened CFG (so the check can never pass vacuously).
-//! 2. **Job-count determinism** — the directed exploration's verdicts
-//!    (path conditions, outcomes, final environments, traces) are
-//!    byte-identical between `jobs = 1` and `jobs = 4`.
-//! 3. **Summary equivalence** — full exploration of the modified version
+//! 2. **Summary equivalence** — full exploration of the modified version
 //!    with procedure summaries forced on produces the same path
 //!    conditions and outcomes as with summaries forced off (skipped for
 //!    call-free scenarios, where the modes coincide trivially).
-//! 4. **Warm ≡ cold** — re-running the directed pipeline against a
-//!    freshly populated persistent store reuses the recorded affected
-//!    sets and still produces byte-identical verdicts.
+//! 3. **Session ≡ cold ≡ warm** — the directed verdicts (path
+//!    conditions, outcomes, final environments, traces) of the session
+//!    from check 1 are byte-identical to an independent one-shot run
+//!    against a fresh persistent store, and re-running against that
+//!    store reuses the recorded affected sets and still produces
+//!    byte-identical verdicts.
 //!
-//! Every run pins `jobs` and trace recording explicitly, so the harness
-//! stays deterministic under CI's `DISE_JOBS` matrix.
+//! Every run pins trace recording and the summary mode explicitly, so
+//! the harness does not depend on environment defaults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,7 +38,7 @@ use crate::scenario::{Scenario, PROC_NAME};
 /// string (dumped alongside the pair's sources by the corpus test).
 #[derive(Debug, Clone)]
 pub struct HarnessFailure {
-    /// The check that failed: `"pipeline"`, `"ground-truth"`, `"jobs"`,
+    /// The check that failed: `"pipeline"`, `"ground-truth"`,
     /// `"summaries"`, or `"warm-store"`.
     pub check: &'static str,
     /// What went wrong.
@@ -127,13 +127,11 @@ fn expr_contains_int(expr: &Expr, literal: i64) -> bool {
     }
 }
 
-/// A deterministic executor configuration: serial, traces recorded. Every
-/// knob that honors an environment default (`DISE_JOBS`,
-/// `DISE_SUMMARIES`) is either irrelevant at `jobs = 1` or pinned
-/// explicitly by the caller.
-fn pinned_config(jobs: usize) -> DiseConfig {
+/// A deterministic executor configuration: traces recorded. The one
+/// knob that honors an environment default (`DISE_SUMMARIES`) only
+/// matters to full explorations, whose callers pin it explicitly.
+fn pinned_config() -> DiseConfig {
     let mut config = DiseConfig::default();
-    config.exec.jobs = jobs;
     config.exec.record_traces = true;
     config
 }
@@ -145,7 +143,7 @@ fn temp_store_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dise-gen-{tag}-{}-{n}", std::process::id()))
 }
 
-/// Runs all four differential checks on one generated pair. Returns the
+/// Runs all three differential checks on one generated pair. Returns the
 /// observations on success, the first failing check otherwise.
 ///
 /// # Errors
@@ -163,7 +161,7 @@ pub fn check_pair(base: &Scenario, evolution: &Evolution) -> Result<HarnessRepor
 
     // Check 1: ground-truth coverage. The session gives us the flattened
     // modified CFG and the affected sets of the same run.
-    let mut session = AnalysisSession::open(&base_prog, &mod_prog, PROC_NAME, pinned_config(1))
+    let mut session = AnalysisSession::open(&base_prog, &mod_prog, PROC_NAME, pinned_config())
         .map_err(pipeline)?;
     let affected = session.affected().map_err(pipeline)?.clone();
     let diffed = session.diffed().map_err(pipeline)?;
@@ -199,30 +197,17 @@ pub fn check_pair(base: &Scenario, evolution: &Evolution) -> Result<HarnessRepor
         }
     }
 
-    // Check 2: directed verdicts byte-identical across jobs {1, 4}. The
-    // serial run is the session's own exploration.
-    let serial = render_verdicts(&session.explored().map_err(pipeline)?.summary);
-    report.directed_paths = session.explored().map_err(pipeline)?.summary.paths().len();
-    let parallel =
-        run_dise(&base_prog, &mod_prog, PROC_NAME, &pinned_config(4)).map_err(pipeline)?;
-    let parallel = render_verdicts(&parallel.summary);
-    if serial != parallel {
-        return Err(HarnessFailure {
-            check: "jobs",
-            detail: format!(
-                "directed verdicts differ between jobs=1 and jobs=4:\n--- jobs=1\n{serial}\
-                 --- jobs=4\n{parallel}"
-            ),
-        });
-    }
+    let explored = &session.explored().map_err(pipeline)?.summary;
+    let session_verdicts = render_verdicts(explored);
+    report.directed_paths = explored.paths().len();
 
-    // Check 3: summaries-on ≡ summaries-off on the modified version's
+    // Check 2: summaries-on ≡ summaries-off on the modified version's
     // full exploration. Path conditions and outcomes are the contract;
     // final environments may α-rename call-local temporaries.
     if base.params().helpers > 0 {
-        let mut on = pinned_config(1);
+        let mut on = pinned_config();
         on.exec.summaries = SummaryMode::On;
-        let mut off = pinned_config(1);
+        let mut off = pinned_config();
         off.exec.summaries = SummaryMode::Off;
         let with = run_full_on(&mod_prog, PROC_NAME, &on).map_err(pipeline)?;
         let without = run_full_on(&mod_prog, PROC_NAME, &off).map_err(pipeline)?;
@@ -246,13 +231,14 @@ pub fn check_pair(base: &Scenario, evolution: &Evolution) -> Result<HarnessRepor
         }
     }
 
-    // Check 4: a warm-store rerun reuses the recorded affected sets and
-    // reproduces the cold run's verdicts byte for byte.
+    // Check 3: the cold-store one-shot run reproduces the session's
+    // verdicts, and a warm-store rerun reuses the recorded affected sets
+    // and reproduces them again, byte for byte.
     let dir = temp_store_dir("store");
     std::fs::remove_dir_all(&dir).ok();
     let store_config = || DiseConfig {
         store: Some(dir.clone()),
-        ..pinned_config(1)
+        ..pinned_config()
     };
     let result = (|| {
         let cold = run_dise(&base_prog, &mod_prog, PROC_NAME, &store_config()).map_err(pipeline)?;
@@ -268,6 +254,15 @@ pub fn check_pair(base: &Scenario, evolution: &Evolution) -> Result<HarnessRepor
             });
         }
         let cold = render_verdicts(&cold.summary);
+        if cold != session_verdicts {
+            return Err(HarnessFailure {
+                check: "warm-store",
+                detail: format!(
+                    "cold one-shot verdicts differ from the session's:\n--- session\n\
+                     {session_verdicts}--- cold\n{cold}"
+                ),
+            });
+        }
         let warm = render_verdicts(&warm.summary);
         if cold != warm {
             return Err(HarnessFailure {
@@ -306,7 +301,7 @@ mod tests {
         let (base, evolution) = pair(3);
         let mod_prog = evolution.modified.program();
         let mut session =
-            AnalysisSession::open(&base.program(), &mod_prog, PROC_NAME, pinned_config(1)).unwrap();
+            AnalysisSession::open(&base.program(), &mod_prog, PROC_NAME, pinned_config()).unwrap();
         let diffed = session.diffed().unwrap();
         for marker in evolution.ground_truth_markers() {
             assert!(
@@ -331,7 +326,7 @@ mod tests {
     #[test]
     fn render_verdicts_distinguishes_different_summaries() {
         let (base, evolution) = pair(5);
-        let config = pinned_config(1);
+        let config = pinned_config();
         let directed = run_dise(
             &base.program(),
             &evolution.modified.program(),

@@ -45,7 +45,7 @@
 //! });
 //! let evolution = evolve(&base, 7, 2);
 //! assert_eq!(evolution.edits.len(), 2);
-//! let report = check_pair(&base, &evolution).expect("all four checks hold");
+//! let report = check_pair(&base, &evolution).expect("all three checks hold");
 //! assert!(report.ground_truth_nodes > 0);
 //! ```
 

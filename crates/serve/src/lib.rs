@@ -17,10 +17,10 @@
 //!   leader; followers block on the leader's flight and are answered
 //!   with the same shared bytes (counted as `coalesced`). A thundering
 //!   herd of N identical requests costs exactly one exploration.
-//! * **The exploration scheduler**: a counting semaphore of frontier
-//!   worker tokens caps how many frontier workers run concurrently
-//!   across *all* requests, multiplexing explorations onto one bounded
-//!   pool instead of spawning `jobs` threads per request.
+//! * **Bounded request workers**: the front ends hand request lines to
+//!   a fixed pool of request workers (see `default_request_workers`),
+//!   and each exploration runs serially on the worker that leads it, so
+//!   that pool size is the bound on concurrent explorations.
 //!
 //! Responses are deterministic by construction: the `output` field of
 //! an `analyze` response is rendered by the same
@@ -59,11 +59,10 @@ use protocol::{
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Frontier workers per exploration (the one-shot `--jobs`).
+    /// Unused: every exploration is serial. Kept only because
+    /// `perfbench` sets it, and goes with the next change to `perfbench`.
     pub jobs: usize,
-    /// Total frontier-worker tokens across all concurrent explorations;
-    /// an exploration acquires `jobs` tokens before it starts. Defaults
-    /// to the host's available parallelism (at least `jobs`).
+    /// Unused, like [`ServeConfig::jobs`]; kept for the same reason.
     pub pool: usize,
     /// Session-cache byte budget.
     pub cache_bytes: usize,
@@ -76,13 +75,9 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        let jobs = dise_symexec::ExecConfig::default().jobs;
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         ServeConfig {
-            jobs,
-            pool: jobs.max(cores),
+            jobs: 1,
+            pool: 1,
             cache_bytes: 64 << 20,
             store: None,
             trace_dir: None,
@@ -111,8 +106,6 @@ pub struct MetricsSnapshot {
     /// fallback decisions; cache/trie answers excluded). Warm-hit
     /// requests add 0 here — the bench pins that.
     pub pipeline_solver_calls: u64,
-    /// Times an exploration had to wait for frontier-worker tokens.
-    pub scheduler_waits: u64,
     /// Live cache entries.
     pub cache_entries: u64,
     /// Live cache bytes.
@@ -127,51 +120,6 @@ struct Counters {
     explorations: AtomicU64,
     errors: AtomicU64,
     pipeline_solver_calls: AtomicU64,
-    scheduler_waits: AtomicU64,
-}
-
-/// The counting semaphore of frontier-worker tokens: explorations
-/// acquire their `jobs` tokens here before running, bounding the total
-/// number of frontier workers alive at once no matter how many
-/// requests are in flight.
-#[derive(Debug)]
-struct WorkerPool {
-    capacity: usize,
-    free: Mutex<usize>,
-    available: Condvar,
-}
-
-impl WorkerPool {
-    fn new(capacity: usize) -> WorkerPool {
-        let capacity = capacity.max(1);
-        WorkerPool {
-            capacity,
-            free: Mutex::new(capacity),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Blocks until `want` tokens (clamped to capacity) are free, then
-    /// takes them. Returns the token count to release and whether the
-    /// caller had to wait.
-    fn acquire(&self, want: usize) -> (usize, bool) {
-        let want = want.clamp(1, self.capacity);
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        let mut waited = false;
-        while *free < want {
-            waited = true;
-            free = self.available.wait(free).unwrap_or_else(|e| e.into_inner());
-        }
-        *free -= want;
-        (want, waited)
-    }
-
-    fn release(&self, tokens: usize) {
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        *free += tokens;
-        drop(free);
-        self.available.notify_all();
-    }
 }
 
 /// One in-flight leader computation; followers wait on `done`.
@@ -217,24 +165,18 @@ pub struct Server {
     config: ServeConfig,
     cache: Mutex<ByteLruCache>,
     inflight: Mutex<HashMap<SessionKey, Arc<Flight>>>,
-    pool: WorkerPool,
     counters: Counters,
     shutdown: AtomicBool,
 }
 
 impl Server {
-    /// A server with the given configuration. A pool smaller than
-    /// `jobs` is grown to it — one exploration must be able to take its
-    /// full token allotment.
-    pub fn new(mut config: ServeConfig) -> Server {
-        config.pool = config.pool.max(config.jobs);
-        let pool = WorkerPool::new(config.pool);
+    /// A server with the given configuration.
+    pub fn new(config: ServeConfig) -> Server {
         let cache = Mutex::new(ByteLruCache::new(config.cache_bytes));
         Server {
             config,
             cache,
             inflight: Mutex::new(HashMap::new()),
-            pool,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
         }
@@ -261,7 +203,6 @@ impl Server {
             evictions: cache.evictions(),
             errors: self.counters.errors.load(Ordering::Relaxed),
             pipeline_solver_calls: self.counters.pipeline_solver_calls.load(Ordering::Relaxed),
-            scheduler_waits: self.counters.scheduler_waits.load(Ordering::Relaxed),
             cache_entries: cache.len() as u64,
             cache_bytes: cache.bytes() as u64,
         }
@@ -304,9 +245,8 @@ impl Server {
         format!(
             "\"method\":\"status\",\"requests\":{},\"cache_hits\":{},\"coalesced\":{},\
              \"explorations\":{},\"evictions\":{},\"errors\":{},\
-             \"pipeline_solver_calls\":{},\"scheduler_waits\":{},\
-             \"cache_entries\":{},\"cache_bytes\":{},\"cache_budget\":{},\
-             \"jobs\":{},\"pool\":{}",
+             \"pipeline_solver_calls\":{},\
+             \"cache_entries\":{},\"cache_bytes\":{},\"cache_budget\":{}",
             m.requests,
             m.cache_hits,
             m.coalesced,
@@ -314,12 +254,9 @@ impl Server {
             m.evictions,
             m.errors,
             m.pipeline_solver_calls,
-            m.scheduler_waits,
             m.cache_entries,
             m.cache_bytes,
             self.config.cache_bytes,
-            self.config.jobs,
-            self.config.pool,
         )
     }
 
@@ -430,10 +367,6 @@ impl Server {
             (dir.clone(), tracer, root)
         });
         let mut config = DiseConfig {
-            exec: dise_symexec::ExecConfig {
-                jobs: self.config.jobs,
-                ..Default::default()
-            },
             store: self.config.store.clone(),
             ..Default::default()
         };
@@ -441,24 +374,7 @@ impl Server {
             config.exec.tracer = Some(TraceHandle::new(Arc::clone(tracer)).child(root.id()));
         }
 
-        // The scheduler: take this exploration's worker tokens before
-        // touching the frontier, bounding total concurrent workers.
-        let (tokens, waited) = self.pool.acquire(self.config.jobs);
-        if waited {
-            self.counters
-                .scheduler_waits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spec.run(config, request_id)
-        }));
-        // Tokens are returned even on a panic; the panic then propagates
-        // to `lead`, which turns it into this request's error.
-        self.pool.release(tokens);
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }?;
+        let outcome = spec.run(config, request_id)?;
         self.counters.explorations.fetch_add(1, Ordering::Relaxed);
         self.counters
             .pipeline_solver_calls

@@ -16,13 +16,16 @@ use std::time::Duration;
 
 use crate::Server;
 
-/// How many request-worker threads a front end runs for `server`:
-/// enough to keep the exploration pool busy plus slack for cache hits
-/// and coalesced followers, bounded so a request flood cannot spawn
-/// unbounded threads.
-pub fn default_request_workers(server: &Server) -> usize {
-    let jobs = server.config().jobs.max(1);
-    (server.config().pool / jobs + 2).clamp(2, 32)
+/// How many request-worker threads a front end runs: one exploration per
+/// available core plus slack for cache hits and coalesced followers,
+/// bounded so a request flood cannot spawn unbounded threads. Each
+/// exploration runs serially on its worker, so this is also the bound on
+/// concurrent explorations.
+fn default_request_workers() -> usize {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    (cores + 2).clamp(2, 32)
 }
 
 /// Serves newline-delimited JSON-RPC over stdin/stdout until stdin
@@ -46,7 +49,7 @@ fn serve_lines(
     workers: usize,
 ) -> std::io::Result<()> {
     let workers = if workers == 0 {
-        default_request_workers(&server)
+        default_request_workers()
     } else {
         workers
     };

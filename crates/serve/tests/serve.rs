@@ -1,7 +1,6 @@
 //! Integration tests for the resident analysis service: coalescing,
 //! cache-hit byte-identity, evict-then-reissue store-warm rebuilds, and
-//! the front-end protocol — all pinned at `jobs` 1 and 4, mirroring the
-//! CI race matrix.
+//! the front-end protocol.
 
 use std::sync::{Arc, Barrier};
 
@@ -21,9 +20,8 @@ fn fig2_analyze_line(id: u64, request_id: &str) -> String {
     )
 }
 
-fn server(jobs: usize, store: Option<std::path::PathBuf>) -> Server {
+fn server(store: Option<std::path::PathBuf>) -> Server {
     Server::new(ServeConfig {
-        jobs,
         store,
         ..ServeConfig::default()
     })
@@ -47,140 +45,134 @@ fn result_field<'a>(response: &'a JsonValue, key: &str) -> Option<&'a JsonValue>
 
 #[test]
 fn analyze_answers_match_the_pipeline() {
-    for jobs in [1, 4] {
-        let server = server(jobs, None);
-        let response = server.handle_line(&fig2_analyze_line(1, "t1"));
-        let value = parse(&response).unwrap_or_else(|e| panic!("response parses: {e}"));
+    let server = server(None);
+    let response = server.handle_line(&fig2_analyze_line(1, "t1"));
+    let value = parse(&response).unwrap_or_else(|e| panic!("response parses: {e}"));
+    assert_eq!(
+        value.get("id").and_then(JsonValue::as_u64),
+        Some(1),
+        "id echoed"
+    );
+    let output = result_field(&value, "output")
+        .and_then(JsonValue::as_str)
+        .expect("output field");
+    // The deterministic verdict residue: indented PC lines only.
+    assert!(!output.is_empty());
+    for line in output.lines() {
+        assert!(line.starts_with("  "), "PC lines are indented: {line:?}");
+    }
+    let expected = {
+        let result = dise_core::dise::run_dise(
+            &dise_artifacts::figures::fig2_base(),
+            &dise_artifacts::figures::fig2_modified(),
+            "update",
+            &dise_core::dise::DiseConfig::default(),
+        )
+        .expect("pipeline runs");
+        dise_core::report::verdict_pc_block(result.affected_pc_strings())
+    };
+    assert_eq!(output, expected, "serve output = one-shot verdict block");
+    assert_eq!(
+        result_field(&value, "request_id").and_then(JsonValue::as_str),
+        Some("t1")
+    );
+    let stats = result_field(&value, "stats")
+        .and_then(JsonValue::as_array)
+        .expect("stats records");
+    assert_eq!(stats.len(), 2, "one stable + one volatile record");
+    for record in stats {
         assert_eq!(
-            value.get("id").and_then(JsonValue::as_u64),
-            Some(1),
-            "id echoed at jobs={jobs}"
+            record.get("scope").and_then(JsonValue::as_str),
+            Some("t1.dise"),
+            "stats scoped by the client's request_id"
         );
-        let output = result_field(&value, "output")
-            .and_then(JsonValue::as_str)
-            .expect("output field");
-        // The deterministic verdict residue: indented PC lines only.
-        assert!(!output.is_empty());
-        for line in output.lines() {
-            assert!(line.starts_with("  "), "PC lines are indented: {line:?}");
-        }
-        let expected = {
-            let result = dise_core::dise::run_dise(
-                &dise_artifacts::figures::fig2_base(),
-                &dise_artifacts::figures::fig2_modified(),
-                "update",
-                &dise_core::dise::DiseConfig::default(),
-            )
-            .expect("pipeline runs");
-            dise_core::report::verdict_pc_block(result.affected_pc_strings())
-        };
-        assert_eq!(output, expected, "serve output = one-shot verdict block");
-        assert_eq!(
-            result_field(&value, "request_id").and_then(JsonValue::as_str),
-            Some("t1")
-        );
-        let stats = result_field(&value, "stats")
-            .and_then(JsonValue::as_array)
-            .expect("stats records");
-        assert_eq!(stats.len(), 2, "one stable + one volatile record");
-        for record in stats {
-            assert_eq!(
-                record.get("scope").and_then(JsonValue::as_str),
-                Some("t1.dise"),
-                "stats scoped by the client's request_id"
-            );
-        }
     }
 }
 
 #[test]
 fn coalesced_identical_requests_run_one_exploration() {
-    for jobs in [1, 4] {
-        let server = Arc::new(server(jobs, None));
-        let clients = 8;
-        let barrier = Arc::new(Barrier::new(clients));
-        let line = fig2_analyze_line(3, "storm");
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let server = Arc::clone(&server);
-                let barrier = Arc::clone(&barrier);
-                let line = line.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    server.handle_line(&line)
-                })
+    let server = Arc::new(server(None));
+    let clients = 8;
+    let barrier = Arc::new(Barrier::new(clients));
+    let line = fig2_analyze_line(3, "storm");
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let server = Arc::clone(&server);
+            let barrier = Arc::clone(&barrier);
+            let line = line.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                server.handle_line(&line)
             })
-            .collect();
-        let responses: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for response in &responses {
-            assert_eq!(
-                response, &responses[0],
-                "identical requests get byte-identical responses (jobs={jobs})"
-            );
-        }
-        let metrics = server.metrics();
+        })
+        .collect();
+    let responses: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for response in &responses {
         assert_eq!(
-            metrics.explorations, 1,
-            "the herd coalesces onto one exploration (jobs={jobs})"
+            response, &responses[0],
+            "identical requests get byte-identical responses"
         );
-        assert_eq!(
-            metrics.cache_hits + metrics.coalesced,
-            clients as u64 - 1,
-            "everyone else was a hit or a follower (jobs={jobs})"
-        );
-        assert_eq!(metrics.errors, 0);
     }
+    let metrics = server.metrics();
+    assert_eq!(
+        metrics.explorations, 1,
+        "the herd coalesces onto one exploration"
+    );
+    assert_eq!(
+        metrics.cache_hits + metrics.coalesced,
+        clients as u64 - 1,
+        "everyone else was a hit or a follower"
+    );
+    assert_eq!(metrics.errors, 0);
 }
 
 #[test]
 fn evicted_entries_rebuild_store_warm_with_zero_pipeline_solver_calls() {
-    for jobs in [1, 4] {
-        let dir = fresh_dir(&format!("warm-{jobs}"));
-        let server = server(jobs, Some(dir.clone()));
-        let line = fig2_analyze_line(5, "warm");
+    let dir = fresh_dir("warm");
+    let server = server(Some(dir.clone()));
+    let line = fig2_analyze_line(5, "warm");
 
-        let cold = server.handle_line(&line);
-        let after_cold = server.metrics();
-        assert_eq!(after_cold.explorations, 1);
-        assert!(
-            after_cold.pipeline_solver_calls > 0,
-            "the cold run pays pipeline solver calls (jobs={jobs})"
-        );
+    let cold = server.handle_line(&line);
+    let after_cold = server.metrics();
+    assert_eq!(after_cold.explorations, 1);
+    assert!(
+        after_cold.pipeline_solver_calls > 0,
+        "the cold run pays pipeline solver calls"
+    );
 
-        // A repeat is a pure cache hit: same bytes, no new exploration.
-        let hit = server.handle_line(&line);
-        assert_eq!(hit, cold, "cache hits serve the leader's bytes");
-        let after_hit = server.metrics();
-        assert_eq!(after_hit.explorations, 1);
-        assert_eq!(after_hit.cache_hits, 1);
-        assert_eq!(
-            after_hit.pipeline_solver_calls, after_cold.pipeline_solver_calls,
-            "a warm hit costs zero pipeline solver calls (jobs={jobs})"
-        );
+    // A repeat is a pure cache hit: same bytes, no new exploration.
+    let hit = server.handle_line(&line);
+    assert_eq!(hit, cold, "cache hits serve the leader's bytes");
+    let after_hit = server.metrics();
+    assert_eq!(after_hit.explorations, 1);
+    assert_eq!(after_hit.cache_hits, 1);
+    assert_eq!(
+        after_hit.pipeline_solver_calls, after_cold.pipeline_solver_calls,
+        "a warm hit costs zero pipeline solver calls"
+    );
 
-        // Evict, reissue: the exploration reruns, but every feasibility
-        // check answers from the store-warmed trie — zero pipeline calls.
-        let evicted = server
-            .handle_line(r#"{"jsonrpc":"2.0","id":6,"method":"evict","params":{"proc":"update"}}"#);
-        assert!(evicted.contains("\"evicted\":1"), "got: {evicted}");
-        let rebuilt = server.handle_line(&line);
-        let after_rebuild = server.metrics();
-        assert_eq!(after_rebuild.explorations, 2, "the rebuild re-explores");
-        assert_eq!(
-            after_rebuild.pipeline_solver_calls, after_cold.pipeline_solver_calls,
-            "the store-warm rebuild adds zero pipeline solver calls (jobs={jobs})"
-        );
-        // The deterministic members match the cold response; only the
-        // volatile stats record may differ between explorations.
-        let cold_output = result_field(&parse(&cold).unwrap(), "output")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        let rebuilt_output = result_field(&parse(&rebuilt).unwrap(), "output")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        assert_eq!(cold_output, rebuilt_output);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    // Evict, reissue: the exploration reruns, but every feasibility
+    // check answers from the store-warmed trie — zero pipeline calls.
+    let evicted = server
+        .handle_line(r#"{"jsonrpc":"2.0","id":6,"method":"evict","params":{"proc":"update"}}"#);
+    assert!(evicted.contains("\"evicted\":1"), "got: {evicted}");
+    let rebuilt = server.handle_line(&line);
+    let after_rebuild = server.metrics();
+    assert_eq!(after_rebuild.explorations, 2, "the rebuild re-explores");
+    assert_eq!(
+        after_rebuild.pipeline_solver_calls, after_cold.pipeline_solver_calls,
+        "the store-warm rebuild adds zero pipeline solver calls"
+    );
+    // The deterministic members match the cold response; only the
+    // volatile stats record may differ between explorations.
+    let cold_output = result_field(&parse(&cold).unwrap(), "output")
+        .and_then(JsonValue::as_str)
+        .map(str::to_string);
+    let rebuilt_output = result_field(&parse(&rebuilt).unwrap(), "output")
+        .and_then(JsonValue::as_str)
+        .map(str::to_string);
+    assert_eq!(cold_output, rebuilt_output);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -189,7 +181,7 @@ fn chain_walks_versions_and_evolve_renders_all_applications() {
     let base = dise_ir::pretty::pretty_program(&wbs.base);
     let v2 = dise_ir::pretty::pretty_program(&wbs.version("v2").expect("v2").program);
     let v4 = dise_ir::pretty::pretty_program(&wbs.version("v4").expect("v4").program);
-    let server = server(1, None);
+    let server = server(None);
 
     let chain = server.handle_line(&format!(
         "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"chain\",\"params\":{{\
@@ -228,7 +220,7 @@ fn chain_walks_versions_and_evolve_renders_all_applications() {
 
 #[test]
 fn protocol_errors_and_admin_methods() {
-    let server = server(1, None);
+    let server = server(None);
     let bad = server.handle_line("not json at all");
     assert!(bad.contains("-32700"), "parse error code: {bad}");
     let unknown = server.handle_line(r#"{"jsonrpc":"2.0","id":1,"method":"frobnicate"}"#);
@@ -255,7 +247,7 @@ fn protocol_errors_and_admin_methods() {
 fn tcp_front_end_serves_and_shuts_down() {
     use std::io::{BufRead, BufReader, Write};
 
-    let server = Arc::new(server(1, None));
+    let server = Arc::new(server(None));
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     let front = {
         let server = Arc::clone(&server);

@@ -36,19 +36,16 @@
 //! starvation semantics apply: any non-empty query returns `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use crate::intern::TermId;
 use crate::linear::LinAtom;
 use crate::model::{Model, Value};
-use crate::shared_trie::SharedTrie;
-use crate::snapshot::{TrieEntry, TrieSnapshot};
+use crate::snapshot::{Bounds, TrieEntry, TrieSnapshot};
 use crate::solve::{
     classify, decide_conjunction, flatten_conjunct, nnf, CaseVerdict, Classified, SatResult,
     Solver, SolverConfig, SolverStats,
 };
 use crate::sym::{SymExpr, SymTy, SymVar};
-use crate::Interval;
 
 /// One node of the prefix trie: verdicts memoized per `TermId` path.
 #[derive(Debug, Clone, Default)]
@@ -56,7 +53,7 @@ struct TrieNode {
     children: HashMap<TermId, usize>,
     verdict: Option<SatResult>,
     model: Option<Model>,
-    bounds: Option<BTreeMap<u32, Interval>>,
+    bounds: Option<Bounds>,
 }
 
 /// One frame of the solver stack: the pushed literal plus the undo
@@ -65,9 +62,6 @@ struct TrieNode {
 struct Frame {
     /// Trie node for this prefix (`None` once the trie hit capacity).
     trie_node: Option<usize>,
-    /// Node id of this prefix in the attached [`SharedTrie`] (`None` when
-    /// no trie is attached, or it is at capacity, or an ancestor fell off).
-    shared_node: Option<u64>,
     /// Length of the shared `lin` vector before this frame's additions.
     lin_len: usize,
     /// Length of the shared `residuals` vector before this frame.
@@ -86,7 +80,7 @@ struct Frame {
     /// Verified model at this depth (present when the verdict is SAT).
     model: Option<Model>,
     /// Interval fixed point at this depth (seeds the child's propagation).
-    bounds: Option<BTreeMap<u32, Interval>>,
+    bounds: Option<Bounds>,
 }
 
 /// Incremental path-condition solver with push/pop/check and a prefix
@@ -103,8 +97,6 @@ pub struct IncrementalSolver {
     bools: BTreeMap<u32, bool>,
     vars: BTreeMap<u32, SymVar>,
     trie: Vec<TrieNode>,
-    /// Cross-worker verdict cache (parallel frontier), when attached.
-    shared: Option<Arc<SharedTrie>>,
     /// Shallowest frame known to be UNSAT (contradiction or verdict).
     unsat_depth: Option<usize>,
     /// Incremental-tier counters (merged with the inner solver's by
@@ -135,7 +127,6 @@ impl IncrementalSolver {
             bools: BTreeMap::new(),
             vars: BTreeMap::new(),
             trie: vec![TrieNode::default()],
-            shared: None,
             unsat_depth: None,
             local: SolverStats::default(),
         }
@@ -170,20 +161,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// Attaches a cross-worker verdict cache. Only frames pushed *after*
-    /// the attach participate; attach on an empty stack. The caller must
-    /// respect the determinism contract documented on [`SharedTrie`]:
-    /// checks are performed root-contiguously, so published entries are
-    /// exactly what a fresh serial computation of the same path yields.
-    pub fn attach_shared_trie(&mut self, trie: Arc<SharedTrie>) {
-        self.shared = Some(trie);
-    }
-
-    /// The attached cross-worker cache, if any.
-    pub fn shared_trie(&self) -> Option<&Arc<SharedTrie>> {
-        self.shared.as_ref()
-    }
-
     /// Pops every frame (the stack returns to the empty path condition
     /// `true`). The prefix trie and caches are retained.
     pub fn reset(&mut self) {
@@ -196,19 +173,8 @@ impl IncrementalSolver {
     pub fn push(&mut self, lit: SymExpr) {
         let term = self.inner.interner.intern(&lit);
         let trie_node = self.trie_child(term);
-        let shared_node = match &self.shared {
-            Some(shared) => {
-                let parent = match self.frames.last() {
-                    Some(frame) => frame.shared_node,
-                    None => Some(SharedTrie::ROOT),
-                };
-                parent.and_then(|p| shared.child(p, &lit))
-            }
-            None => None,
-        };
         let mut frame = Frame {
             trie_node,
-            shared_node,
             lin_len: self.lin.len(),
             residual_len: self.residuals.len(),
             new_vars: Vec::new(),
@@ -362,39 +328,6 @@ impl IncrementalSolver {
             }
         }
 
-        // Cross-worker shared trie: another worker already decided this
-        // exact prefix. The restored model and bounds are what this solver
-        // would have computed itself (see the determinism contract on
-        // [`SharedTrie`]), so downstream frames behave identically either
-        // way.
-        if self.frames[top].shared_node.is_some() {
-            let parent = match top {
-                0 => SharedTrie::ROOT,
-                _ => self.frames[top - 1]
-                    .shared_node
-                    .expect("a shared child implies a shared parent"),
-            };
-            let hit = self
-                .shared
-                .as_ref()
-                .and_then(|shared| shared.verdict(parent, &self.lits[top]));
-            if let Some(hit) = hit {
-                self.local.shared_trie_hits += 1;
-                self.frames[top].verdict = Some(hit.verdict);
-                self.frames[top].model = hit.model.clone();
-                self.frames[top].bounds = hit.bounds.clone();
-                // Memoize locally so later re-checks stay lock-free.
-                if let Some(node) = self.frames[top].trie_node {
-                    self.trie[node].verdict = Some(hit.verdict);
-                    self.trie[node].model = hit.model;
-                    self.trie[node].bounds = hit.bounds;
-                }
-                self.note_unsat(top, hit.verdict);
-                self.tally(hit.verdict);
-                return hit.verdict;
-            }
-        }
-
         // Starvation semantics: a zero case budget answers Unknown for any
         // non-empty query, exactly like the monolithic tier.
         if self.inner.config().case_budget == 0 {
@@ -418,7 +351,7 @@ impl IncrementalSolver {
     /// from propagation or Fourier–Motzkin over the linear atoms, and
     /// residuals can only add constraints) and `Sat` carries a model
     /// verified against every pushed literal.
-    fn decide(&mut self, top: usize) -> (CaseVerdict, Option<BTreeMap<u32, Interval>>) {
+    fn decide(&mut self, top: usize) -> (CaseVerdict, Option<Bounds>) {
         // Model reuse: does the parent's verified model (extended with
         // defaults for this frame's fresh variables) already satisfy the
         // whole path? This is the common DFS step — a SAT prefix extended
@@ -476,7 +409,7 @@ impl IncrementalSolver {
     /// inner solver tallies the verdict. The incremental interval fixed
     /// point stays the child frames' seed: it over-approximates the path's
     /// solutions whatever the inner verdict.
-    fn fall_back(&mut self, top: usize, bounds: Option<BTreeMap<u32, Interval>>) -> SatResult {
+    fn fall_back(&mut self, top: usize, bounds: Option<Bounds>) -> SatResult {
         self.local.fallback_checks += 1;
         let outcome = self.inner.check(&self.lits);
         let verdict = outcome.result();
@@ -491,7 +424,7 @@ impl IncrementalSolver {
         top: usize,
         verdict: SatResult,
         model: Option<Model>,
-        bounds: Option<BTreeMap<u32, Interval>>,
+        bounds: Option<Bounds>,
     ) -> SatResult {
         self.record(top, verdict, model, bounds);
         self.tally(verdict);
@@ -504,7 +437,7 @@ impl IncrementalSolver {
         top: usize,
         verdict: SatResult,
         model: Option<Model>,
-        bounds: Option<BTreeMap<u32, Interval>>,
+        bounds: Option<Bounds>,
     ) {
         self.note_unsat(top, verdict);
         self.frames[top].verdict = Some(verdict);
@@ -537,23 +470,12 @@ impl IncrementalSolver {
         top: usize,
         verdict: SatResult,
         model: Option<Model>,
-        bounds: Option<BTreeMap<u32, Interval>>,
+        bounds: Option<Bounds>,
     ) {
         if let Some(node) = self.frames[top].trie_node {
             self.trie[node].verdict = Some(verdict);
-            self.trie[node].model = model.clone();
-            self.trie[node].bounds = bounds.clone();
-        }
-        if self.frames[top].shared_node.is_some() {
-            if let Some(shared) = &self.shared {
-                let parent = match top {
-                    0 => SharedTrie::ROOT,
-                    _ => self.frames[top - 1]
-                        .shared_node
-                        .expect("a shared child implies a shared parent"),
-                };
-                shared.publish(parent, &self.lits[top], verdict, model, bounds);
-            }
+            self.trie[node].model = model;
+            self.trie[node].bounds = bounds;
         }
     }
 
@@ -649,11 +571,12 @@ impl IncrementalSolver {
     /// nothing (`0`) — a warm start must never poison a solver. Existing
     /// verdicts are never overwritten.
     ///
-    /// Soundness matches [`SharedTrie`] reuse: verdict, model, and bounds
-    /// are deterministic functions of the literal path, so a restored
-    /// entry is exactly what this solver would have computed — *provided
-    /// the solver configuration matches* (case budgets flip `Unknown`s);
-    /// gate reuse on [`crate::SolverConfig::cache_key`].
+    /// Soundness rests on the [determinism
+    /// contract](crate::snapshot#determinism-contract): verdict, model,
+    /// and bounds are deterministic functions of the literal path, so a
+    /// restored entry is exactly what this solver would have computed —
+    /// *provided the solver configuration matches* (case budgets flip
+    /// `Unknown`s); gate reuse on [`crate::SolverConfig::cache_key`].
     pub fn import_trie(&mut self, snapshot: &TrieSnapshot) -> usize {
         if !self.frames.is_empty() || !snapshot.validate() {
             return 0;
@@ -1092,70 +1015,6 @@ mod tests {
         // was recorded as a trie node; only its verdict may be absent.
         let after = solver.stats();
         assert!(after.checks == before.checks + 1);
-    }
-
-    #[test]
-    fn shared_trie_answers_across_solvers() {
-        let (_, x, y, _) = setup();
-        let shared = Arc::new(SharedTrie::new(1 << 12));
-        let chain = [
-            SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)),
-            SymExpr::lt(SymExpr::var(&y), SymExpr::var(&x)),
-        ];
-
-        let mut producer = IncrementalSolver::new();
-        producer.attach_shared_trie(Arc::clone(&shared));
-        for lit in &chain {
-            producer.push(lit.clone());
-            assert_eq!(producer.check(), SatResult::Sat);
-        }
-        let producer_model = producer.model().cloned().unwrap();
-        assert!(shared.publishes() >= 2);
-
-        // A second solver replaying the same chain answers every depth
-        // from the shared trie — and restores the *same* model, so any
-        // deeper exploration behaves identically to the producer's.
-        let mut consumer = IncrementalSolver::new();
-        consumer.attach_shared_trie(Arc::clone(&shared));
-        for lit in &chain {
-            consumer.push(lit.clone());
-            assert_eq!(consumer.check(), SatResult::Sat);
-        }
-        let stats = consumer.stats();
-        assert_eq!(stats.shared_trie_hits, 2, "{stats:?}");
-        assert_eq!(stats.model_searches, 0);
-        assert_eq!(stats.fm_runs, 0);
-        assert_eq!(consumer.model().cloned().unwrap(), producer_model);
-    }
-
-    #[test]
-    fn shared_trie_unsat_restores_the_prefix_kill() {
-        let (_, x, y, _) = setup();
-        let shared = Arc::new(SharedTrie::new(1 << 12));
-        let conflict = [
-            SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
-            SymExpr::lt(SymExpr::var(&x), SymExpr::int(5)),
-        ];
-        let mut producer = IncrementalSolver::new();
-        producer.attach_shared_trie(Arc::clone(&shared));
-        for lit in &conflict {
-            producer.push(lit.clone());
-        }
-        assert_eq!(producer.check(), SatResult::Unsat);
-
-        let mut consumer = IncrementalSolver::new();
-        consumer.attach_shared_trie(Arc::clone(&shared));
-        for lit in &conflict {
-            consumer.push(lit.clone());
-        }
-        assert_eq!(consumer.check(), SatResult::Unsat);
-        // The restored UNSAT must kill extensions exactly like a computed
-        // one.
-        consumer.push(SymExpr::gt(SymExpr::var(&y), SymExpr::int(0)));
-        let before = consumer.stats();
-        assert_eq!(consumer.check(), SatResult::Unsat);
-        let after = consumer.stats();
-        assert_eq!(after.prefix_unsat_kills, before.prefix_unsat_kills + 1);
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //!   splitting, bounded caching, statistics, and the SPF-compatible
 //!   "unknown ⇒ unsat" policy (§4.1 of the paper; configurable);
 //! * [`incremental`] — the [`IncrementalSolver`] described above;
-//! * [`shared_trie`] — the lock-sharded cross-worker verdict cache of the
-//!   parallel frontier ([`SharedTrie`]);
+//! * [`snapshot`] — portable images of the incremental solver's prefix
+//!   trie (store warm starts and in-process handoffs) and their
+//!   determinism contract;
 //! * [`simplify`] — path-condition subsumption for display.
 //!
 //! Decision-procedure soundness contract (both tiers):
@@ -93,7 +94,6 @@ pub mod intern;
 pub mod interval;
 pub mod linear;
 pub mod model;
-pub mod shared_trie;
 pub mod simplify;
 pub mod snapshot;
 pub mod solve;
@@ -105,9 +105,8 @@ pub use incremental::IncrementalSolver;
 pub use intern::{Interner, TermId};
 pub use interval::Interval;
 pub use model::Model;
-pub use shared_trie::{Bounds, SharedTrie, SharedVerdict};
 pub use simplify::simplify_pc;
-pub use snapshot::{SummaryPathSnapshot, SummarySnapshot, TrieEntry, TrieSnapshot};
+pub use snapshot::{Bounds, SummaryPathSnapshot, SummarySnapshot, TrieEntry, TrieSnapshot};
 pub use solve::{CheckOutcome, SatResult, Solver, SolverConfig, SolverStats};
 pub use subst::substitute;
 pub use sym::{SymExpr, SymTy, SymVar, VarPool};

@@ -11,23 +11,36 @@
 //! process (or a later run over a different program version) with the
 //! same ids only where the structures actually coincide.
 //!
-//! Restoring a snapshot is sound for the same reason cross-worker
-//! [`crate::SharedTrie`] reuse is: a verdict (and its verified model and
-//! interval fixed point) is a deterministic function of the literal
-//! sequence alone — the decision pipeline never consults anything else —
-//! so a restored entry is byte-for-byte what the fresh run would have
-//! computed for that prefix. The only reuse gate is the solver
+//! # Determinism contract
+//!
+//! Restoring a snapshot is sound because a verdict, its verified model
+//! and its interval fixed point are a deterministic function of the
+//! literal sequence alone. The incremental pipeline at depth `k` reads
+//! only the literals pushed so far and the state its own checks left at
+//! the ancestor depths (model, bounds), and each of those was itself
+//! produced by checking that ancestor's prefix. So a restored entry is
+//! byte-for-byte what a fresh run would have computed for that prefix,
+//! and every frame below it behaves identically whether its parent was
+//! solved or restored. The only reuse gate is the solver
 //! *configuration* (case budgets change `Unknown` verdicts), which
-//! callers compare via [`crate::SolverConfig::cache_key`].
+//! callers compare via [`crate::SolverConfig::cache_key`]. Store warm
+//! starts and in-process handoffs between pipeline stages both rely on
+//! this contract.
 //!
 //! `dise-store` serializes snapshots to disk with an integrity header;
 //! this module stays I/O-free.
 
+use std::collections::BTreeMap;
+
 use crate::intern::Term;
+use crate::interval::Interval;
 use crate::model::Model;
-use crate::shared_trie::Bounds;
 use crate::solve::SatResult;
 use crate::sym::{SymExpr, SymTy, SymVar};
+
+/// Interval fixed point at a depth (the incremental solver seeds a child
+/// frame's propagation with its parent's).
+pub type Bounds = BTreeMap<u32, Interval>;
 
 /// One trie edge of a [`TrieSnapshot`]: the parent node, the literal term
 /// labelling the edge, and the decision memoized at the child (if any —

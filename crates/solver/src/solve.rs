@@ -200,9 +200,6 @@ pub struct SolverStats {
     /// SAT answers obtained by re-validating the parent frame's model
     /// against the new literal (no search at all).
     pub model_reuse_hits: u64,
-    /// Checks answered from a cross-worker [`crate::SharedTrie`]
-    /// (parallel frontier exploration).
-    pub shared_trie_hits: u64,
     /// Entries evicted from the bounded monolithic result cache.
     pub cache_evictions: u64,
     /// SAT verdicts recorded through
@@ -228,7 +225,6 @@ impl SolverStats {
         self.prefix_cache_hits += other.prefix_cache_hits;
         self.prefix_unsat_kills += other.prefix_unsat_kills;
         self.model_reuse_hits += other.model_reuse_hits;
-        self.shared_trie_hits += other.shared_trie_hits;
         self.cache_evictions += other.cache_evictions;
         self.assumed_sat += other.assumed_sat;
     }
@@ -257,9 +253,6 @@ impl SolverStats {
             model_reuse_hits: self
                 .model_reuse_hits
                 .saturating_sub(earlier.model_reuse_hits),
-            shared_trie_hits: self
-                .shared_trie_hits
-                .saturating_sub(earlier.shared_trie_hits),
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
             assumed_sat: self.assumed_sat.saturating_sub(earlier.assumed_sat),
         }

@@ -30,7 +30,8 @@
 //! callers as "no warm state": a damaged store degrades speed, never
 //! results. Warm-started runs are byte-identical to cold runs because
 //! every restored verdict is a deterministic function of its literal
-//! path (the [`dise_solver::SharedTrie`] argument), gated on the solver
+//! path (the [determinism
+//! contract](dise_solver::snapshot#determinism-contract)), gated on the solver
 //! configuration via [`dise_solver::SolverConfig::cache_key`].
 
 pub mod error;

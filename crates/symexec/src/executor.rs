@@ -46,20 +46,6 @@ pub trait Strategy {
     fn on_leave(&mut self, node: NodeId) {
         let _ = node;
     }
-
-    /// Clones this strategy for a parallel frontier worker, or `None` when
-    /// the strategy runs serially.
-    ///
-    /// Forking is only sound for strategies whose `should_explore`
-    /// decisions are independent of global exploration order (stateless
-    /// filters, static node predicates). Strategies with order-dependent
-    /// global state — like the paper's directed strategy, whose
-    /// explored-set resets depend on which sibling subtree ran first —
-    /// must return `None`: [`Executor::explore`] then runs them on the
-    /// serial engine at any [`ExecConfig::jobs`].
-    fn fork(&self) -> Option<Box<dyn Strategy + Send>> {
-        None
-    }
 }
 
 /// An executor's transferable warm state: the decided prefix trie, tagged
@@ -82,11 +68,7 @@ impl WarmHandoff {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullExploration;
 
-impl Strategy for FullExploration {
-    fn fork(&self) -> Option<Box<dyn Strategy + Send>> {
-        Some(Box::new(FullExploration))
-    }
-}
+impl Strategy for FullExploration {}
 
 /// Which successors are submitted to [`Strategy::should_explore`].
 ///
@@ -156,15 +138,8 @@ pub struct ExecConfig {
     pub record_tree: bool,
     /// Which successors the strategy filter applies to.
     pub filter_scope: FilterScope,
-    /// Worker threads for frontier exploration. `1` (the default) is the
-    /// serial DFS; `N > 1` explores *forkable* strategies ([`Strategy::fork`]
-    /// returns `Some`, e.g. full exploration) on the work-stealing parallel
-    /// frontier (see [`crate::frontier`]), which produces byte-identical
-    /// paths, path conditions, and outcomes for non-truncated runs.
-    /// Non-forkable strategies — the directed search — run serially at
-    /// any value. The default honors the `DISE_JOBS` environment variable
-    /// (the CI race matrix). [`ExecConfig::record_tree`] forces serial
-    /// execution.
+    /// Unused: every exploration is the serial DFS. Kept only because
+    /// `perfbench` sets it, and goes with the next change to `perfbench`.
     pub jobs: usize,
     /// Unused; kept only because `perfbench` sets it (see
     /// [`SweepBudget`]).
@@ -183,24 +158,12 @@ pub struct ExecConfig {
     pub heuristic: HeuristicChoice,
     /// Constraint-solver tuning.
     pub solver: SolverConfig,
-    /// Observability hook: when set, pipeline stages, frontier workers,
-    /// and summary builds record hierarchical spans through this handle
-    /// (see `dise-trace`). Layers re-parent the handle before passing the
-    /// config down, which is how worker spans nest under their stage.
+    /// Observability hook: when set, pipeline stages and summary builds
+    /// record hierarchical spans through this handle (see `dise-trace`).
+    /// Layers re-parent the handle before passing the config down, which
+    /// is how explore spans nest under their stage.
     /// `None` (the default) records nothing and costs nothing.
     pub tracer: Option<dise_trace::TraceHandle>,
-}
-
-/// The `DISE_JOBS` default, read once per process.
-fn default_jobs() -> usize {
-    static JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *JOBS.get_or_init(|| {
-        std::env::var("DISE_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// The `DISE_SUMMARIES` default, read once per process.
@@ -224,7 +187,7 @@ impl Default for ExecConfig {
             record_pruned: false,
             record_tree: false,
             filter_scope: FilterScope::default(),
-            jobs: default_jobs(),
+            jobs: 1,
             sweep_budget: SweepBudget::default(),
             summaries: default_summaries(),
             heuristic: HeuristicChoice::default(),
@@ -333,8 +296,9 @@ pub struct ExecStats {
     pub filter_time: Duration,
     /// Solver activity during the run.
     pub solver: SolverStats,
-    /// Parallel-frontier activity (all zero on serial runs).
-    pub frontier: crate::frontier::FrontierStats,
+    /// Decided prefixes the executor's solver was warm-started with
+    /// ([`Executor::warm_start`]) before this run.
+    pub warm_trie_entries: u64,
     /// Summary-instantiation activity (all zero on inlined runs).
     pub summary: SummaryStats,
 }
@@ -404,20 +368,20 @@ impl SymbolicSummary {
 /// repeated explorations answer repeated prefixes from the trie.
 #[derive(Debug, Clone)]
 pub struct Executor {
-    pub(crate) proc_name: String,
-    pub(crate) cfg: Cfg,
-    pub(crate) init_env: Env,
-    pub(crate) inputs: Vec<(String, SymVar)>,
+    proc_name: String,
+    cfg: Cfg,
+    init_env: Env,
+    inputs: Vec<(String, SymVar)>,
     pool: VarPool,
-    pub(crate) config: ExecConfig,
-    pub(crate) solver: IncrementalSolver,
+    config: ExecConfig,
+    solver: IncrementalSolver,
     /// Decided prefixes restored by [`Executor::warm_start`] (reported as
-    /// [`crate::FrontierStats::warm_trie_entries`]).
+    /// [`ExecStats::warm_trie_entries`]).
     warm_trie_entries: u64,
     /// Procedure summaries for call-node dispatch. `None` for inlined
     /// (call-free) executors; `Some` only via
     /// [`Executor::with_summaries`].
-    pub(crate) summaries: Option<Arc<SummaryTable>>,
+    summaries: Option<Arc<SummaryTable>>,
 }
 
 impl Executor {
@@ -520,8 +484,9 @@ impl Executor {
     /// Returns the number of decided prefixes restored.
     ///
     /// Restored verdicts are byte-for-byte what this executor would have
-    /// computed itself (the [`dise_solver::SharedTrie`] determinism
-    /// argument), **provided the snapshot was produced under the same
+    /// computed itself (the [determinism
+    /// contract](dise_solver::snapshot#determinism-contract)), **provided
+    /// the snapshot was produced under the same
     /// solver configuration** — callers gate on
     /// [`SolverConfig::cache_key`]. Call before the first
     /// [`Executor::explore`]; an invalid snapshot restores nothing.
@@ -589,38 +554,13 @@ impl Executor {
         &self.inputs
     }
 
-    /// Runs the exploration with the given strategy.
-    ///
-    /// With [`ExecConfig::jobs`] > 1 and a forkable strategy
-    /// ([`Strategy::fork`] returns `Some`) the work-stealing parallel
-    /// frontier takes over (unless [`ExecConfig::record_tree`] is set,
-    /// which only the serial engine supports); the resulting paths, path
-    /// conditions, and outcomes are byte-identical to the serial run's for
-    /// non-truncated explorations — only timing- and cache-dependent
-    /// counters differ. See [`crate::frontier`]. Non-forkable strategies
-    /// always run on the serial engine.
+    /// Runs the exploration with the given strategy: one depth-first walk
+    /// whose solver stack mirrors the current path.
     ///
     /// The reported [`ExecStats::solver`] counters cover this run only,
     /// even though the solver itself (with its prefix trie and caches)
     /// persists across runs of the same executor.
     pub fn explore(&mut self, strategy: &mut dyn Strategy) -> SymbolicSummary {
-        let forks = if self.config.jobs > 1 && !self.config.record_tree {
-            (0..self.config.jobs)
-                .map(|_| strategy.fork())
-                .collect::<Option<Vec<_>>>()
-        } else {
-            None
-        };
-        let mut summary = match forks {
-            Some(forks) => crate::frontier::explore_parallel(self, forks),
-            None => self.explore_serial(strategy),
-        };
-        summary.stats.frontier.warm_trie_entries = self.warm_trie_entries;
-        summary
-    }
-
-    /// The serial depth-first engine.
-    fn explore_serial(&mut self, strategy: &mut dyn Strategy) -> SymbolicSummary {
         let start = Instant::now();
         let solver_before = self.solver.stats();
         let mut run = Run {
@@ -647,6 +587,7 @@ impl Executor {
         self.solver.reset();
         stats.elapsed = start.elapsed();
         stats.solver = self.solver.stats().delta_since(&solver_before);
+        stats.warm_trie_entries = self.warm_trie_entries;
         SymbolicSummary {
             proc_name: self.proc_name.clone(),
             inputs: self.inputs.clone(),
@@ -712,18 +653,18 @@ pub(crate) fn symbolic_name(program_name: &str) -> String {
 /// feasibility check — branches and symbolic assumes contribute exactly
 /// one, instantiated summary paths zero or more), and whether it came
 /// from a symbolic fork (a choice point).
-pub(crate) struct Succ {
-    pub(crate) state: SymState,
-    pub(crate) lits: Vec<SymExpr>,
+struct Succ {
+    state: SymState,
+    lits: Vec<SymExpr>,
     /// A witness model for `lits` recorded when the summary was built,
     /// translated to caller variables. When it checks out against the
     /// whole solver stack by evaluation, the feasibility checks are
     /// answered without any solver pipeline work.
-    pub(crate) hint: Option<Model>,
-    pub(crate) forked: bool,
+    hint: Option<Model>,
+    forked: bool,
     /// Whether this candidate came from a summary instantiation (for
     /// [`SummaryStats`] attribution).
-    pub(crate) from_call: bool,
+    from_call: bool,
 }
 
 impl Succ {
@@ -749,18 +690,18 @@ impl Succ {
 }
 
 /// Outcome of pushing a successor's literals onto the solver.
-pub(crate) struct PushResult {
+struct PushResult {
     /// How many literals are now on the stack (all of them when feasible;
     /// the prefix up to and including the failing one when not — the
     /// caller pops exactly this many).
-    pub(crate) pushed: usize,
-    pub(crate) feasible: bool,
+    pushed: usize,
+    feasible: bool,
     /// Whether every literal was discharged through the witness-hint fast
     /// path (no solver pipeline work at all).
-    pub(crate) hint_verified: bool,
+    hint_verified: bool,
     /// Solver pipeline checks (incremental + fallback) spent on these
     /// literals.
-    pub(crate) checks: u64,
+    checks: u64,
 }
 
 /// Pushes a successor's literals, answering feasibility via the witness
@@ -770,7 +711,7 @@ pub(crate) struct PushResult {
 /// each literal is recorded as SAT with that model (and learned by the
 /// prefix trie) without touching the solver pipeline. Any miss falls back
 /// to the ordinary push + check sequence for the remaining literals.
-pub(crate) fn push_succ_lits(
+fn push_succ_lits(
     solver: &mut IncrementalSolver,
     lits: Vec<SymExpr>,
     hint: Option<&Model>,
@@ -833,10 +774,8 @@ pub(crate) fn push_succ_lits(
 /// How a just-entered state is classified, in the order Fig. 6 fixes:
 /// error and depth-bound terminate *before* the strategy is notified
 /// (line 5), the exit node notifies and completes, everything else is an
-/// interior state with successors. Shared by the serial DFS and the
-/// parallel frontier workers so the two engines classify states
-/// identically by construction.
-pub(crate) enum EntryKind {
+/// interior state with successors.
+enum EntryKind {
     /// A failed assertion: terminate, never notify the strategy.
     Error(String),
     /// The depth bound cut the path off: terminate, never notify.
@@ -848,7 +787,7 @@ pub(crate) enum EntryKind {
 }
 
 /// Classifies a just-entered state. See [`EntryKind`].
-pub(crate) fn classify_entry(cfg: &Cfg, config: &ExecConfig, state: &SymState) -> EntryKind {
+fn classify_entry(cfg: &Cfg, config: &ExecConfig, state: &SymState) -> EntryKind {
     // An error inherited from an instantiated summary path terminates the
     // state exactly as the callee's own error node would have under
     // inlining.
@@ -871,10 +810,9 @@ pub(crate) fn classify_entry(cfg: &Cfg, config: &ExecConfig, state: &SymState) -
 }
 
 /// The feasible-successor candidates of `state`, in the order Fig. 6
-/// explores them (true branch before false branch). Shared by the serial
-/// DFS and the parallel frontier workers so both step states identically.
-/// `infeasible` is bumped when a concretely false `assume` kills the path.
-pub(crate) fn successor_candidates(
+/// explores them (true branch before false branch). `infeasible` is bumped
+/// when a concretely false `assume` kills the path.
+fn successor_candidates(
     cfg: &Cfg,
     state: &SymState,
     infeasible: &mut u64,
@@ -1479,8 +1417,6 @@ mod tests {
 
     #[test]
     fn solver_stats_expose_incremental_activity() {
-        // Pinned to the serial engine: these counters describe the serial
-        // check sequence (parallel workers add replay checks).
         let program = parse_program(
             "proc f(int x, int y) {
                if (x > 0) { skip; }
@@ -1489,11 +1425,7 @@ mod tests {
         )
         .unwrap();
         dise_ir::check_program(&program).unwrap();
-        let config = ExecConfig {
-            jobs: 1,
-            ..ExecConfig::default()
-        };
-        let mut executor = Executor::new(&program, "f", config).unwrap();
+        let mut executor = Executor::new(&program, "f", ExecConfig::default()).unwrap();
         let summary = executor.explore(&mut FullExploration);
         let solver = &summary.stats().solver;
         // Every feasibility check was decided by the incremental tier; none
@@ -1514,13 +1446,7 @@ mod tests {
              }",
         )
         .unwrap();
-        // Pinned to the serial engine: the cross-run trie arithmetic below
-        // describes the serial check sequence.
-        let config = ExecConfig {
-            jobs: 1,
-            ..ExecConfig::default()
-        };
-        let mut executor = Executor::new(&program, "f", config).unwrap();
+        let mut executor = Executor::new(&program, "f", ExecConfig::default()).unwrap();
         let first = executor.explore(&mut FullExploration);
         let second = executor.explore(&mut FullExploration);
         assert_eq!(second.pc_count(), first.pc_count());

@@ -21,11 +21,10 @@
 //! paper's pseudocode (a successor's filter runs only after the previous
 //! successor's entire subtree finished).
 //!
-//! With [`ExecConfig::jobs`] > 1 the [`frontier`] module takes over for
-//! forkable strategies ([`Strategy::fork`]): a work-stealing pool with a
-//! merged, byte-identical summary. Order-dependent strategies (the
-//! directed search) cannot be forked and run on the serial engine at any
-//! `jobs`.
+//! Every exploration, directed or full, runs on this one serial engine:
+//! the directed strategy's decisions depend on exploration order, and one
+//! depth-first walk keeps a single incremental solver stack in step with
+//! the path.
 //!
 //! Two companion engines share the CFG and the evaluation semantics:
 //!
@@ -61,7 +60,6 @@ pub mod concrete;
 pub mod env;
 pub mod eval;
 pub mod executor;
-pub mod frontier;
 pub mod state;
 pub mod summary;
 pub mod tree;
@@ -73,7 +71,6 @@ pub use executor::{
     ExecConfig, ExecError, ExecStats, Executor, FilterScope, FullExploration, HeuristicChoice,
     PathOutcome, PathSummary, Strategy, SweepBudget, SymbolicSummary, WarmHandoff,
 };
-pub use frontier::FrontierStats;
 pub use state::SymState;
 pub use summary::{
     build_summary, ProcSummary, SummaryBuildError, SummaryMode, SummaryStats, SummaryTable,

@@ -90,17 +90,6 @@ pub struct SummaryStats {
     pub fallback_checks: u64,
 }
 
-impl SummaryStats {
-    /// Adds every counter of `other` into `self` (parallel-frontier
-    /// worker merge).
-    pub fn merge(&mut self, other: &SummaryStats) {
-        self.call_sites += other.call_sites;
-        self.paths_instantiated += other.paths_instantiated;
-        self.hint_verified += other.hint_verified;
-        self.fallback_checks += other.fallback_checks;
-    }
-}
-
 /// Whether full explorations route calls through procedure summaries.
 /// Parsed from `--summaries on|off|auto` / `DISE_SUMMARIES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,8 +147,8 @@ pub struct ProcSummary {
 }
 
 /// The summaries available to one executor, keyed by callee name. Shared
-/// (via [`Arc`]) between the serial engine and every frontier worker, and
-/// carried across version hops by `dise-core`'s session.
+/// (via [`Arc`]) between executors and carried across version hops by
+/// `dise-core`'s session.
 #[derive(Debug, Clone, Default)]
 pub struct SummaryTable {
     entries: BTreeMap<String, Arc<ProcSummary>>,
@@ -311,10 +300,9 @@ pub fn build_summary(
         globals.push((global.name.clone(), var));
     }
 
-    // Serial, trace-free exploration; the caller's solver tuning applies
-    // (the summary's solver_key records it).
+    // Trace-free exploration; the caller's solver tuning applies (the
+    // summary's solver_key records it).
     let mut callee_config = config.clone();
-    callee_config.jobs = 1;
     callee_config.record_traces = false;
     callee_config.record_tree = false;
     callee_config.record_pruned = false;
@@ -507,17 +495,10 @@ mod tests {
     }
 
     /// Explores `main` both ways and returns `(inlined, summarized)`.
-    fn run_both(
-        src: &str,
-        main: &str,
-        jobs: usize,
-    ) -> (crate::SymbolicSummary, crate::SymbolicSummary) {
+    fn run_both(src: &str, main: &str) -> (crate::SymbolicSummary, crate::SymbolicSummary) {
         let program = parse_program(src).unwrap();
         check_program(&program).unwrap();
-        let config = ExecConfig {
-            jobs,
-            ..ExecConfig::default()
-        };
+        let config = ExecConfig::default();
         let flat = inline_program(&program, main).unwrap();
         let mut inlined = Executor::new(&flat, main, config.clone()).unwrap();
         let inlined_run = inlined.explore(&mut FullExploration);
@@ -553,7 +534,7 @@ mod tests {
 
     #[test]
     fn summary_matches_inlined_on_branching_callee() {
-        let (inlined, summarized) = run_both(BRANCHING, "main", 1);
+        let (inlined, summarized) = run_both(BRANCHING, "main");
         assert_eq!(inlined.paths().len(), 4);
         assert_equivalent(&inlined, &summarized);
         // Dispatches, not static sites: the second call node is entered
@@ -563,17 +544,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_inlined_in_parallel_frontier() {
-        let (inlined, summarized) = run_both(BRANCHING, "main", 4);
-        assert_equivalent(&inlined, &summarized);
-        assert!(summarized.stats().summary.call_sites >= 2);
-    }
-
-    #[test]
     fn summary_propagates_callee_errors() {
         let src = "proc check(int v) { assert(v >= 0); }
              proc main(int a) { check(a); }";
-        let (inlined, summarized) = run_both(src, "main", 1);
+        let (inlined, summarized) = run_both(src, "main");
         assert_eq!(inlined.stats().paths_error, 1);
         assert_eq!(summarized.stats().paths_error, 1);
         assert_equivalent(&inlined, &summarized);
@@ -592,10 +566,7 @@ mod tests {
              proc main(int a, int b) { gate(a); gate(b); }";
         let program = parse_program(src).unwrap();
         check_program(&program).unwrap();
-        let config = ExecConfig {
-            jobs: 1,
-            ..ExecConfig::default()
-        };
+        let config = ExecConfig::default();
         let table = Arc::new(table_for(&program, "main", &config));
         let mut executor = Executor::with_summaries(&program, "main", config, table).unwrap();
         let run = executor.explore(&mut FullExploration);
@@ -615,7 +586,7 @@ mod tests {
                if (v > 0) { out = 1; } else { out = 2; }
              }
              proc main() { pick(5); }";
-        let (inlined, summarized) = run_both(src, "main", 1);
+        let (inlined, summarized) = run_both(src, "main");
         assert_eq!(inlined.paths().len(), 1);
         assert_equivalent(&inlined, &summarized);
     }

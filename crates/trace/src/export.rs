@@ -189,7 +189,7 @@ mod tests {
     fn sample_events() -> Vec<TraceEvent> {
         let tracer = Tracer::new();
         let root = tracer.begin("session", None);
-        let child = tracer.begin_on("worker.0", Some(root.id()), 1);
+        let child = tracer.begin("stage.explore", Some(root.id()));
         tracer.end_with(child, vec![("solver.checks".into(), 9)]);
         tracer.warning("running cold");
         tracer.end(root);
@@ -227,7 +227,7 @@ mod tests {
         let rendered = render_profile(&sample_events());
         let lines: Vec<&str> = rendered.lines().collect();
         assert!(lines[0].starts_with("session"));
-        assert!(lines[1].starts_with("  worker.0"));
+        assert!(lines[1].starts_with("  stage.explore"));
         assert!(lines[1].contains("[solver.checks=9]"));
         assert_eq!(lines[2], "warning: running cold");
     }

@@ -4,13 +4,13 @@
 //! The crate has three pieces:
 //!
 //! * **Spans** ([`Tracer`], [`TraceHandle`], [`OpenSpan`]): monotonic
-//!   enter/exit timing over every pipeline stage and frontier worker.
+//!   enter/exit timing over every pipeline stage and summary build.
 //!   A [`TraceHandle`] threads through `ExecConfig`; when it is absent
 //!   (the default) instrumentation is a `None` check and nothing else.
 //! * **Metrics** ([`MetricsRegistry`]): a sorted name → value map with a
 //!   [`Stability`] class per metric. The *stable* subset is byte-identical
-//!   across `DISE_JOBS` settings; timings and solver activity are
-//!   *volatile*. The human-readable `solver:`/`stages:`/`store:`/
+//!   across warm/cold stores and summaries on/off; timings and solver
+//!   activity are *volatile*. The human-readable `solver:`/`stages:`/`store:`/
 //!   `summaries:` stat lines are re-derived from this registry.
 //! * **Exporters** ([`event_log`], [`chrome_trace`], [`render_profile`],
 //!   [`stats_record`]): the versioned `--trace-json` JSONL log (schema

@@ -1,19 +1,19 @@
 //! The typed metrics registry: one named, sorted map subsuming the
-//! scattered stats structs (`SolverStats`, `FrontierStats`,
-//! `SummaryStats`, stage timings, store status).
+//! scattered stats structs (`SolverStats`, `ExecStats`, `SummaryStats`,
+//! stage timings, store status).
 //!
 //! Every metric carries a [`Stability`] class. *Stable* metrics are part
 //! of the determinism contract: their values are byte-identical across
-//! `DISE_JOBS` settings (structural counters, pipeline node counts, store
-//! reuse flags). *Volatile* metrics are real but runtime-dependent
-//! (timings, per-worker solver activity, steal counts). Consumers that
-//! diff output across configurations — the CI byte-diff legs, the
-//! determinism tests — compare only the stable dump
+//! warm and cold stores and with summaries on or off (structural
+//! counters, pipeline node counts). *Volatile* metrics are real but
+//! runtime-dependent (timings, solver activity, warm-start sizes).
+//! Consumers that diff output across configurations — the CI byte-diff
+//! legs, the determinism tests — compare only the stable dump
 //! ([`MetricsRegistry::stable_json`]).
 //!
 //! Aggregation is deterministic by construction: the map is a `BTreeMap`
-//! (sorted emission) and [`MetricsRegistry::merge`] is applied to
-//! per-worker shards in worker-index order by the frontier's merge loop.
+//! (sorted emission) and [`MetricsRegistry::merge`] folds one registry
+//! into another in a fixed order.
 
 use std::collections::BTreeMap;
 
@@ -32,9 +32,10 @@ pub enum MetricValue {
 /// contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stability {
-    /// Byte-identical across `DISE_JOBS` settings and repeat runs.
+    /// Byte-identical across warm/cold stores, summaries on/off, and
+    /// repeat runs.
     Stable,
-    /// Runtime-dependent: timings, solver/frontier activity.
+    /// Runtime-dependent: timings, solver activity.
     Volatile,
 }
 
@@ -105,8 +106,8 @@ impl MetricsRegistry {
     }
 
     /// Merges a shard into this registry: counters add, flags OR, gauges
-    /// take the shard's value (callers merge shards in worker-index order,
-    /// so the result is deterministic for a fixed worker count).
+    /// take the shard's value (callers merge in a fixed order, so the
+    /// result is deterministic).
     pub fn merge(&mut self, shard: &MetricsRegistry) {
         for (name, (value, stability)) in &shard.metrics {
             match (self.metrics.get_mut(name), value) {
@@ -192,11 +193,11 @@ mod tests {
         a.set_flag("sweep.exhausted", false, Stability::Volatile);
         let mut b = MetricsRegistry::new();
         b.set_counter("solver.checks", 2, Stability::Volatile);
-        b.set_counter("frontier.steals", 4, Stability::Volatile);
+        b.set_counter("solver.prefix_cache_hits", 4, Stability::Volatile);
         b.set_flag("sweep.exhausted", true, Stability::Volatile);
         a.merge(&b);
         assert_eq!(a.counter("solver.checks"), 7);
-        assert_eq!(a.counter("frontier.steals"), 4);
+        assert_eq!(a.counter("solver.prefix_cache_hits"), 4);
         assert!(a.flag("sweep.exhausted"));
     }
 

@@ -10,9 +10,9 @@
 //! [`TraceHandle`] is the piece that threads through the pipeline: a
 //! cheap clone of `Arc<Tracer>` plus the parent span new spans should
 //! nest under. Each pipeline layer re-parents with [`TraceHandle::child`]
-//! before handing the config to the layer below, which is how worker
-//! spans end up nested under `stage.explore` without the frontier knowing
-//! anything about sessions.
+//! before handing the config to the layer below, which is how explore
+//! and summary-build spans end up nested under their stage without the
+//! executor knowing anything about sessions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,7 +29,6 @@ pub struct OpenSpan {
     id: u64,
     parent: Option<u64>,
     name: String,
-    tid: u32,
     start_ns: u64,
 }
 
@@ -46,8 +45,9 @@ pub struct SpanRecord {
     pub id: u64,
     pub parent: Option<u64>,
     pub name: String,
-    /// Logical thread: 0 for the orchestrating thread, worker index + 1
-    /// for frontier workers.
+    /// Logical thread. Always 0: every span is opened on the thread that
+    /// runs the pipeline. Kept so the JSONL schema and the Chrome export
+    /// stay unchanged.
     pub tid: u32,
     /// Nanoseconds since the tracer's epoch.
     pub start_ns: u64,
@@ -92,18 +92,12 @@ impl Tracer {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Opens a span on logical thread 0. Lock-free.
+    /// Opens a span. Lock-free.
     pub fn begin(&self, name: &str, parent: Option<SpanId>) -> OpenSpan {
-        self.begin_on(name, parent, 0)
-    }
-
-    /// Opens a span on an explicit logical thread. Lock-free.
-    pub fn begin_on(&self, name: &str, parent: Option<SpanId>, tid: u32) -> OpenSpan {
         OpenSpan {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             parent: parent.map(|p| p.0),
             name: name.to_string(),
-            tid,
             start_ns: self.now_ns(),
         }
     }
@@ -120,7 +114,7 @@ impl Tracer {
             id: span.id,
             parent: span.parent,
             name: span.name,
-            tid: span.tid,
+            tid: 0,
             start_ns: span.start_ns,
             dur_ns,
             counters,
@@ -184,14 +178,9 @@ impl TraceHandle {
         }
     }
 
-    /// Opens a span under this handle's parent on logical thread 0.
+    /// Opens a span under this handle's parent.
     pub fn begin(&self, name: &str) -> OpenSpan {
         self.tracer.begin(name, self.parent)
-    }
-
-    /// Opens a span under this handle's parent on an explicit thread.
-    pub fn begin_on(&self, name: &str, tid: u32) -> OpenSpan {
-        self.tracer.begin_on(name, self.parent, tid)
     }
 
     /// Closes a span with no counters.
@@ -251,15 +240,15 @@ mod tests {
         let handle = TraceHandle::new(Arc::clone(&tracer));
         let root = handle.begin("root");
         let nested = handle.child(root.id());
-        let worker = nested.begin_on("worker.0", 1);
-        nested.end(worker);
-        handle.end(root);
+        let explore = nested.begin("stage.explore");
+        nested.end(explore);
+        let root_id = handle.end(root);
         let events = tracer.events();
-        let TraceEvent::Span(worker) = &events[0] else {
+        let TraceEvent::Span(explore) = &events[0] else {
             panic!("expected span");
         };
-        assert_eq!(worker.tid, 1);
-        assert!(worker.parent.is_some());
+        assert_eq!(explore.tid, 0);
+        assert_eq!(explore.parent, Some(root_id.0));
     }
 
     #[test]

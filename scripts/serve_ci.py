@@ -13,7 +13,7 @@ directory with concurrent one-shot CLI runs of the same pairs: the
 advisory store lock must keep both sides clean (identical verdicts, a
 store `stat` that parses, no crashes).
 
-Usage: serve_ci.py <dise-binary> <corpus-dir> [--jobs N]
+Usage: serve_ci.py <dise-binary> <corpus-dir>
 """
 
 import json
@@ -62,11 +62,7 @@ def run_server(dise, requests, extra_args=()):
 
 
 def main():
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    jobs = "1"
-    for a in sys.argv[1:]:
-        if a.startswith("--jobs="):
-            jobs = a.split("=", 1)[1]
+    args = sys.argv[1:]
     if len(args) != 2:
         fail(__doc__)
     dise, corpus = args[0], Path(args[1])
@@ -101,7 +97,7 @@ def main():
     status_id = next_id
     requests.append({"jsonrpc": "2.0", "id": status_id, "method": "status"})
 
-    responses = run_server(dise, requests, ["--jobs", jobs])
+    responses = run_server(dise, requests)
     for request in requests:
         if request["id"] not in responses:
             fail(f"no response for id {request['id']}")
@@ -132,7 +128,7 @@ def main():
     if m["cache_hits"] + m["coalesced"] < len(pairs):
         fail(f"duplicates neither hit nor coalesced: {m}")
     print(
-        f"serve-ci: leg 1 OK — {len(pairs)} pairs x2 at jobs={jobs}: "
+        f"serve-ci: leg 1 OK — {len(pairs)} pairs x2: "
         f"{m['explorations']} explorations, {m['cache_hits']} hits, "
         f"{m['coalesced']} coalesced, outputs byte-identical to one-shot runs"
     )
@@ -150,7 +146,7 @@ def main():
             for b, m_ in pairs
         ]
         analyze = [r for r in requests if r["method"] == "analyze"]
-        responses = run_server(dise, analyze, ["--jobs", jobs, "--store", store])
+        responses = run_server(dise, analyze, ["--store", store])
         for p, (b, _) in zip(cli_procs, pairs):
             out, err = p.communicate(timeout=300)
             if p.returncode != 0:

@@ -36,10 +36,9 @@ fn dispatch_chain(edited: bool) -> Program {
     parse_program(&src).expect("generated chain parses")
 }
 
-fn config(jobs: usize) -> DiseConfig {
+fn config() -> DiseConfig {
     DiseConfig {
         exec: ExecConfig {
-            jobs,
             record_pruned: true,
             ..ExecConfig::default()
         },
@@ -50,7 +49,7 @@ fn config(jobs: usize) -> DiseConfig {
 #[test]
 fn every_arm_of_a_long_equality_chain_stays_feasible() {
     let modified = dispatch_chain(true);
-    let full = run_full_on(&modified, "f", &config(1)).expect("full runs");
+    let full = run_full_on(&modified, "f", &config()).expect("full runs");
     // Two paths per arm (Level above or not above the arm's index) plus
     // the fall-through past the last arm.
     assert_eq!(full.pc_count(), 2 * ARMS + 1);
@@ -61,7 +60,7 @@ fn every_arm_of_a_long_equality_chain_stays_feasible() {
 fn dise_reports_an_edit_deep_in_the_chain() {
     let base = dispatch_chain(false);
     let modified = dispatch_chain(true);
-    let dise = run_dise(&base, &modified, "f", &config(1)).expect("dise runs");
+    let dise = run_dise(&base, &modified, "f", &config()).expect("dise runs");
     assert_eq!(dise.changed_nodes, 1);
     assert_eq!(dise.summary.pc_count(), 2);
     assert_eq!(dise.summary.stats().solver.unknown, 0);
@@ -72,7 +71,7 @@ fn dise_reports_an_edit_deep_in_the_chain() {
 
     // Affected path conditions are real path conditions of the modified
     // program, and the directed search satisfies Theorem 3.10.
-    let full = run_full_on(&modified, "f", &config(1)).expect("full runs");
+    let full = run_full_on(&modified, "f", &config()).expect("full runs");
     let full_pcs: BTreeSet<String> = full.path_conditions().map(|pc| pc.to_string()).collect();
     for pc in dise.summary.path_conditions() {
         assert!(full_pcs.contains(&pc.to_string()), "{pc}");
@@ -83,18 +82,28 @@ fn dise_reports_an_edit_deep_in_the_chain() {
 
 #[test]
 fn dispatch_chain_verdicts_are_identical_across_jobs() {
+    // The disequality verdicts survive a store round trip: a warm run
+    // restores them from the persisted trie and reports the same paths.
     let base = dispatch_chain(false);
     let modified = dispatch_chain(true);
-    let serial = run_dise(&base, &modified, "f", &config(1)).expect("dise runs");
-    let parallel = run_dise(&base, &modified, "f", &config(4)).expect("dise runs");
+    let dir = std::env::temp_dir().join(format!("dise-dispatch-chain-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let stored = DiseConfig {
+        store: Some(dir.clone()),
+        ..config()
+    };
+    let cold = run_dise(&base, &modified, "f", &stored).expect("cold dise runs");
+    let warm = run_dise(&base, &modified, "f", &stored).expect("warm dise runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let status = warm.store.as_ref().expect("store configured");
+    assert!(status.warm_trie_entries > 0, "{status:?}");
     assert_eq!(
-        render_verdicts(&serial.summary),
-        render_verdicts(&parallel.summary)
+        render_verdicts(&cold.summary),
+        render_verdicts(&warm.summary)
     );
-    let full_serial = run_full_on(&modified, "f", &config(1)).expect("full runs");
-    let full_parallel = run_full_on(&modified, "f", &config(4)).expect("full runs");
+    let plain = run_dise(&base, &modified, "f", &config()).expect("dise runs");
     assert_eq!(
-        render_verdicts(&full_serial),
-        render_verdicts(&full_parallel)
+        render_verdicts(&plain.summary),
+        render_verdicts(&warm.summary)
     );
 }

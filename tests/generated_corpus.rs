@@ -2,10 +2,10 @@
 //! hundreds of generated `(base, modified)` pairs instead of the four
 //! hand-written paper artifacts.
 //!
-//! Each pair runs the four-check differential harness
+//! Each pair runs the three-check differential harness
 //! (`dise::gen::check_pair`): ground-truth affected-node coverage,
-//! jobs {1,4} byte-identity, summaries-on ≡ summaries-off, and
-//! warm-store ≡ cold. The corpus is deterministic from fixed seeds — a
+//! summaries-on ≡ summaries-off, and session ≡ cold-store ≡ warm-store
+//! byte-identity. The corpus is deterministic from fixed seeds — a
 //! red run here is a red run everywhere.
 //!
 //! Scaling: the PR gate checks 4 blocks × 50 seeds = 200 pairs. The
@@ -145,7 +145,7 @@ fn scaled_smoke_pair() {
         base.stmt_count()
     );
     let evolution = evolve(&base, 77, 4);
-    let report = check_pair(&base, &evolution).expect("scaled pair passes all four checks");
+    let report = check_pair(&base, &evolution).expect("scaled pair passes all three checks");
     assert!(report.ground_truth_nodes >= report.ground_truth_markers);
     assert!(report.directed_paths > 0);
     assert!(report.warm_affected_reused);

@@ -2,9 +2,10 @@
 //!
 //! 1. The **stable** half of the metrics registry — structural counters
 //!    like states, paths, changed/affected nodes, and path-condition
-//!    counts — must be byte-identical between `jobs = 1` and `jobs = 4`
-//!    runs on every artifact pair. This is the contract the CI registry
-//!    byte-diff leg builds on (`--stats json | grep '"kind":"stable"'`).
+//!    counts — must be byte-identical with summaries on or off and with
+//!    a tracer attached or not, on every artifact pair. This is the
+//!    contract the CI registry byte-diff legs build on
+//!    (`--stats json | grep '"kind":"stable"'`).
 //! 2. A session run with a tracer attached records the full span
 //!    hierarchy, the event-log exporter's output round-trips through the
 //!    schema validator, and the spans attribute every pipeline solver
@@ -17,30 +18,31 @@ use dise::core::dise::{run_dise, DiseConfig};
 use dise::core::metrics::result_registry;
 use dise::core::session::AnalysisSession;
 use dise::ir::Program;
-use dise::symexec::ExecConfig;
+use dise::symexec::SummaryMode;
 use dise::trace::{
     chrome_trace, event_log, render_profile, validate_log, SpanRecord, TraceEvent, TraceHandle,
     Tracer,
 };
 
-fn config(jobs: usize) -> DiseConfig {
-    DiseConfig {
-        exec: ExecConfig {
-            jobs,
-            ..ExecConfig::default()
-        },
-        ..DiseConfig::default()
-    }
-}
-
 fn check_stable_dump(name: &str, base: &Program, modified: &Program, proc_name: &str) {
-    let serial = run_dise(base, modified, proc_name, &config(1)).expect("serial dise runs");
-    let parallel = run_dise(base, modified, proc_name, &config(4)).expect("parallel dise runs");
-    assert_eq!(
-        result_registry(&serial).stable_json(),
-        result_registry(&parallel).stable_json(),
-        "{name}: stable registry dump must be byte-identical across jobs 1 and 4"
-    );
+    let mut summarized = DiseConfig::default();
+    summarized.exec.summaries = SummaryMode::On;
+    let mut inlined = DiseConfig::default();
+    inlined.exec.summaries = SummaryMode::Off;
+    let mut traced = DiseConfig::default();
+    traced.exec.tracer = Some(TraceHandle::new(Arc::new(Tracer::new())));
+    let expected = result_registry(
+        &run_dise(base, modified, proc_name, &summarized).expect("summarized dise runs"),
+    )
+    .stable_json();
+    for (what, config) in [("summaries off", inlined), ("traced", traced)] {
+        let result = run_dise(base, modified, proc_name, &config).expect("dise runs");
+        assert_eq!(
+            result_registry(&result).stable_json(),
+            expected,
+            "{name}: stable registry dump must not move ({what})"
+        );
+    }
 }
 
 #[test]
@@ -107,7 +109,7 @@ fn traced_session_records_the_stage_hierarchy() {
     let base = figures::fig2_base();
     let modified = figures::fig2_modified();
     let tracer = Arc::new(Tracer::new());
-    let mut config = config(1);
+    let mut config = DiseConfig::default();
     config.exec.tracer = Some(TraceHandle::new(tracer.clone()));
     let mut session =
         AnalysisSession::open(&base, &modified, "update", config).expect("session opens");
@@ -156,43 +158,11 @@ fn traced_session_records_the_stage_hierarchy() {
 }
 
 #[test]
-fn parallel_exploration_records_worker_spans() {
-    let test_x = figures::test_x();
-    let tracer = Arc::new(Tracer::new());
-    let mut exec = ExecConfig {
-        jobs: 4,
-        ..ExecConfig::default()
-    };
-    exec.tracer = Some(TraceHandle::new(tracer.clone()));
-    let config = DiseConfig {
-        exec,
-        ..DiseConfig::default()
-    };
-    dise::core::dise::run_full_on(&test_x, "testX", &config).expect("full run");
-    let events = tracer.events();
-    let spans = spans_of(&events);
-    let workers: Vec<&&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.name.starts_with("worker."))
-        .collect();
-    assert_eq!(workers.len(), 4, "one span per frontier worker");
-    // Workers carry distinct thread ids and a per-worker state counter.
-    let tids: std::collections::BTreeSet<u32> = workers.iter().map(|s| s.tid).collect();
-    assert_eq!(tids.len(), 4, "distinct worker tids");
-    for worker in &workers {
-        assert!(
-            worker.counters.iter().any(|(name, _)| name == "states"),
-            "worker span carries a states counter"
-        );
-    }
-}
-
-#[test]
 fn event_log_round_trips_through_the_validator() {
     let base = figures::fig2_base();
     let modified = figures::fig2_modified();
     let tracer = Arc::new(Tracer::new());
-    let mut config = config(1);
+    let mut config = DiseConfig::default();
     config.exec.tracer = Some(TraceHandle::new(tracer.clone()));
     let mut session =
         AnalysisSession::open(&base, &modified, "update", config).expect("session opens");

@@ -2,8 +2,7 @@
 //! artifact corpus:
 //!
 //! * **byte identity** — warm-started summaries equal cold summaries,
-//!   path for path, at `DISE_JOBS = 1` *and* `4` (the store only moves
-//!   solver work, never results);
+//!   path for path (the store only moves solver work, never results);
 //! * **strictly fewer solver calls** — a warm run of the same evolution
 //!   pair re-derives its summary from restored trie verdicts without
 //!   running a decision pipeline;
@@ -20,14 +19,10 @@ use dise::artifacts::{asw, figures, oae, wbs, Artifact};
 use dise::core::dise::{run_dise, DiseConfig, DiseResult};
 use dise::ir::Program;
 use dise::store::{format::FORMAT_VERSION, Store};
-use dise::symexec::{ExecConfig, SymbolicSummary};
+use dise::symexec::SymbolicSummary;
 
-fn config(jobs: usize, store: Option<PathBuf>) -> DiseConfig {
+fn config(store: Option<PathBuf>) -> DiseConfig {
     DiseConfig {
-        exec: ExecConfig {
-            jobs,
-            ..ExecConfig::default()
-        },
         store,
         ..DiseConfig::default()
     }
@@ -96,33 +91,31 @@ fn evolution_pairs() -> Vec<(String, &'static str, Program, Program)> {
 
 #[test]
 fn warm_runs_are_byte_identical_at_jobs_1_and_4() {
-    for jobs in [1usize, 4] {
-        for (name, proc_name, base, modified) in evolution_pairs() {
-            let dir = temp_dir("identity");
-            let store_cfg = config(jobs, Some(dir.clone()));
-            let cold = run(&base, &modified, proc_name, &store_cfg);
-            let warm = run(&base, &modified, proc_name, &store_cfg);
-            let context = format!("{name} jobs={jobs}");
-            assert_identical(&context, &cold.summary, &warm.summary);
-            assert_eq!(cold.affected_nodes, warm.affected_nodes, "{context}");
-            assert_eq!(cold.changed_nodes, warm.changed_nodes, "{context}");
-            let status = warm.store.as_ref().expect("store configured");
-            assert!(status.warning.is_none(), "{context}: {:?}", status.warning);
-            assert!(status.affected_reused, "{context}: affected reuse");
-            assert!(
-                status.warm_trie_entries > 0,
-                "{context}: trie must warm-start"
-            );
-            // A reference run with no store at all agrees too.
-            let plain = run(&base, &modified, proc_name, &config(jobs, None));
-            assert_identical(
-                &format!("{context} vs plain"),
-                &plain.summary,
-                &warm.summary,
-            );
-            assert!(plain.store.is_none());
-            std::fs::remove_dir_all(dir).ok();
-        }
+    for (name, proc_name, base, modified) in evolution_pairs() {
+        let dir = temp_dir("identity");
+        let store_cfg = config(Some(dir.clone()));
+        let cold = run(&base, &modified, proc_name, &store_cfg);
+        let warm = run(&base, &modified, proc_name, &store_cfg);
+        let context = name.to_string();
+        assert_identical(&context, &cold.summary, &warm.summary);
+        assert_eq!(cold.affected_nodes, warm.affected_nodes, "{context}");
+        assert_eq!(cold.changed_nodes, warm.changed_nodes, "{context}");
+        let status = warm.store.as_ref().expect("store configured");
+        assert!(status.warning.is_none(), "{context}: {:?}", status.warning);
+        assert!(status.affected_reused, "{context}: affected reuse");
+        assert!(
+            status.warm_trie_entries > 0,
+            "{context}: trie must warm-start"
+        );
+        // A reference run with no store at all agrees too.
+        let plain = run(&base, &modified, proc_name, &config(None));
+        assert_identical(
+            &format!("{context} vs plain"),
+            &plain.summary,
+            &warm.summary,
+        );
+        assert!(plain.store.is_none());
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -130,7 +123,7 @@ fn warm_runs_are_byte_identical_at_jobs_1_and_4() {
 fn warm_runs_issue_strictly_fewer_solver_calls() {
     for (name, proc_name, base, modified) in evolution_pairs() {
         let dir = temp_dir("calls");
-        let store_cfg = config(1, Some(dir.clone()));
+        let store_cfg = config(Some(dir.clone()));
         let cold = run(&base, &modified, proc_name, &store_cfg);
         let warm = run(&base, &modified, proc_name, &store_cfg);
         let (cold_calls, warm_calls) = (solver_calls(&cold), solver_calls(&warm));
@@ -151,7 +144,7 @@ fn the_store_transfers_across_program_versions() {
     let v2 = &artifact.version("v2").unwrap().program;
     let v4 = &artifact.version("v4").unwrap().program;
     let dir = temp_dir("transfer");
-    let store_cfg = config(1, Some(dir.clone()));
+    let store_cfg = config(Some(dir.clone()));
 
     run(&artifact.base, v2, artifact.proc_name, &store_cfg);
     let next = run(&artifact.base, v4, artifact.proc_name, &store_cfg);
@@ -164,7 +157,7 @@ fn the_store_transfers_across_program_versions() {
         !status.affected_reused,
         "the (base, modified) pair changed, so affected sets recompute"
     );
-    let reference = run(&artifact.base, v4, artifact.proc_name, &config(1, None));
+    let reference = run(&artifact.base, v4, artifact.proc_name, &config(None));
     assert_identical("v2->v4 transfer", &reference.summary, &next.summary);
     std::fs::remove_dir_all(dir).ok();
 }
@@ -174,7 +167,7 @@ fn the_store_transfers_across_program_versions() {
 #[test]
 fn corruption_falls_back_to_cold_without_poisoning_results() {
     let (_, proc_name, base, modified) = evolution_pairs().remove(0);
-    let reference = run(&base, &modified, proc_name, &config(1, None));
+    let reference = run(&base, &modified, proc_name, &config(None));
 
     type Damage = fn(&[u8]) -> Vec<u8>;
     let truncate: Damage = |bytes| bytes[..bytes.len() / 2].to_vec();
@@ -198,7 +191,7 @@ fn corruption_falls_back_to_cold_without_poisoning_results() {
         ("bad magic", not_a_store),
     ] {
         let dir = temp_dir("damage");
-        let store_cfg = config(1, Some(dir.clone()));
+        let store_cfg = config(Some(dir.clone()));
         run(&base, &modified, proc_name, &store_cfg);
         let store = Store::open(&dir);
         let path = store.entry_path(proc_name);
