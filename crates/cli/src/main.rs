@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dise run <v1.mj> <v2.mj> [<v3.mj> …] <proc> [--full] [--trace] [--simplify]
-//!          [--reaching-defs] [--summaries on|off|auto]
+//!          [--reaching-defs] [--summaries on|off]
 //!          [--store DIR] [--stats json|text]
 //!          [--trace-json FILE] [--trace-chrome FILE]
 //!     Diff consecutive program versions and report the affected path
@@ -16,8 +16,7 @@
 //!     --simplify       subsume redundant bounds in printed path conditions
 //!     --reaching-defs  use the precise data-flow premise (ablation mode)
 //!     --summaries      procedure-summary mode for the --full run (default
-//!                      `auto`, or the DISE_SUMMARIES environment variable):
-//!                      `auto`/`on` explore each callee once and instantiate
+//!                      `on`): `on` explores each callee once and instantiates
 //!                      the interned summary at every call site, `off`
 //!                      always inlines. Path conditions are byte-identical
 //!                      across modes; summaries only remove solver work.
@@ -195,7 +194,7 @@ fn dispatch(args: Vec<String>) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage:
-  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--summaries on|off|auto] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
+  dise run <v1.mj> <v2.mj> [<v3.mj> ...] <proc> [--full] [--trace] [--simplify] [--reaching-defs] [--summaries on|off] [--store DIR] [--stats json|text] [--trace-json FILE] [--trace-chrome FILE]
   dise profile <base.mj> <modified.mj> <proc> [--full]
   dise trace validate <FILE>
   dise evolve <base.mj> <modified.mj> <proc>
@@ -224,7 +223,7 @@ fn load(path: &str) -> Result<Program, String> {
 
 fn parse_summaries_value(value: &str) -> Result<dise_symexec::SummaryMode, String> {
     dise_symexec::SummaryMode::parse(value)
-        .ok_or_else(|| "--summaries expects `on`, `off`, or `auto`".to_string())
+        .ok_or_else(|| "--summaries expects `on` or `off`".to_string())
 }
 
 /// `--stats json|text` → whether stats go out as registry dumps.
@@ -260,7 +259,7 @@ fn run_command(args: &[String]) -> Result<(), String> {
         } else if arg == "--summaries" {
             let value = iter
                 .next()
-                .ok_or_else(|| "--summaries expects `on`, `off`, or `auto`".to_string())?;
+                .ok_or_else(|| "--summaries expects `on` or `off`".to_string())?;
             summaries = parse_summaries_value(value)?;
         } else if let Some(value) = arg.strip_prefix("--store=") {
             store = Some(std::path::PathBuf::from(value));

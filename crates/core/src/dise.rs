@@ -482,29 +482,62 @@ mod tests {
     #[test]
     fn summarized_full_run_matches_inlined_verdicts() {
         use dise_symexec::SummaryMode;
-        let program = parse_program(
-            "int Pressure = 0;
+        let two_clamps = "int Pressure = 0;
              proc clamp(int cmd) {
                if (cmd > 100) { Pressure = 3000; } else { Pressure = cmd * 30; }
              }
-             proc main(int a, int b) { clamp(a); clamp(b); }",
-        )
-        .unwrap();
+             proc main(int a, int b) { clamp(a); clamp(b); }";
+        // Four dispatches of a three-path callee: inlining re-explores the
+        // callee at every call site (3^4 = 81 leaf paths), summaries
+        // explore it once and instantiate.
+        let four_brakes = "int Pressure = 0;
+             proc apply_brake(int cmd) {
+               if (cmd > 100) {
+                 Pressure = 3000;
+               } else {
+                 if (cmd > 95) { Pressure = 2900; } else { Pressure = cmd * 30; }
+               }
+             }
+             proc main(int a, int b, int c, int d) {
+               apply_brake(a); apply_brake(b); apply_brake(c); apply_brake(d);
+             }";
         let mut on = DiseConfig::default();
         on.exec.summaries = SummaryMode::On;
         let mut off = DiseConfig::default();
         off.exec.summaries = SummaryMode::Off;
-        let summarized = run_full_on(&program, "main", &on).unwrap();
-        let inlined = run_full_on(&program, "main", &off).unwrap();
-        assert!(
-            summarized.stats().summary.call_sites > 0,
-            "the summarized run must actually dispatch through summaries"
-        );
-        assert_eq!(inlined.stats().summary.call_sites, 0);
-        assert_eq!(summarized.paths().len(), inlined.paths().len());
-        for (s, i) in summarized.paths().iter().zip(inlined.paths()) {
-            assert_eq!(s.pc.to_string(), i.pc.to_string());
-            assert_eq!(s.outcome, i.outcome);
+        for source in [two_clamps, four_brakes] {
+            let program = parse_program(source).unwrap();
+            let summarized = run_full_on(&program, "main", &on).unwrap();
+            let inlined = run_full_on(&program, "main", &off).unwrap();
+            assert!(
+                summarized.stats().summary.call_sites > 0,
+                "the summarized run must actually dispatch through summaries"
+            );
+            assert_eq!(inlined.stats().summary.call_sites, 0);
+            assert_eq!(summarized.paths().len(), inlined.paths().len());
+            for (s, i) in summarized.paths().iter().zip(inlined.paths()) {
+                assert_eq!(s.pc.to_string(), i.pc.to_string());
+                assert_eq!(s.outcome, i.outcome);
+            }
+            if source == four_brakes {
+                // Pipeline checks exclude trie and cache answers. The
+                // summarized cost includes building the callee's summary,
+                // so the reduction is not an accounting trick.
+                let build_checks: u64 =
+                    crate::summaries::prepare(&program, "main", &on.exec, &[], None)
+                        .expect("the callee summarizes")
+                        .table
+                        .iter()
+                        .map(|summary| summary.build_stats.pipeline_checks())
+                        .sum();
+                let summarized_checks = summarized.stats().solver.pipeline_checks() + build_checks;
+                let inlined_checks = inlined.stats().solver.pipeline_checks();
+                assert!(
+                    3 * summarized_checks <= inlined_checks,
+                    "summaries must cost at most a third of inlining's pipeline checks \
+                     ({summarized_checks} vs {inlined_checks})"
+                );
+            }
         }
     }
 

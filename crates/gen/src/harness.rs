@@ -127,9 +127,7 @@ fn expr_contains_int(expr: &Expr, literal: i64) -> bool {
     }
 }
 
-/// A deterministic executor configuration: traces recorded. The one
-/// knob that honors an environment default (`DISE_SUMMARIES`) only
-/// matters to full explorations, whose callers pin it explicitly.
+/// A deterministic executor configuration: traces recorded.
 fn pinned_config() -> DiseConfig {
     let mut config = DiseConfig::default();
     config.exec.record_traces = true;

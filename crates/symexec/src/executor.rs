@@ -149,9 +149,7 @@ pub struct ExecConfig {
     /// [`crate::summary`]). The executor itself only honors an attached
     /// [`SummaryTable`] ([`Executor::with_summaries`]); this knob is the
     /// *policy* consulted by `dise-core` when deciding whether to attach
-    /// one. The default honors the `DISE_SUMMARIES` environment variable
-    /// (`on`, `off`, or `auto`), falling back to
-    /// [`SummaryMode::Auto`].
+    /// one. Defaults to [`SummaryMode::On`].
     pub summaries: SummaryMode,
     /// Unused; kept only because `perfbench` sets it (see
     /// [`HeuristicChoice`]).
@@ -166,17 +164,6 @@ pub struct ExecConfig {
     pub tracer: Option<dise_trace::TraceHandle>,
 }
 
-/// The `DISE_SUMMARIES` default, read once per process.
-fn default_summaries() -> SummaryMode {
-    static MODE: std::sync::OnceLock<SummaryMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DISE_SUMMARIES")
-            .ok()
-            .and_then(|v| SummaryMode::parse(&v))
-            .unwrap_or_default()
-    })
-}
-
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
@@ -189,7 +176,7 @@ impl Default for ExecConfig {
             filter_scope: FilterScope::default(),
             jobs: 1,
             sweep_budget: SweepBudget::default(),
-            summaries: default_summaries(),
+            summaries: SummaryMode::default(),
             heuristic: HeuristicChoice::default(),
             solver: SolverConfig::default(),
             tracer: None,

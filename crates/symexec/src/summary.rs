@@ -84,43 +84,38 @@ pub struct SummaryStats {
     /// path (`push_verified`) — no decision pipeline ran.
     pub hint_verified: u64,
     /// Decision-pipeline `check` calls spent on instantiated successors
-    /// whose witness did not verify. The cross-version benchmark's
-    /// "zero solver calls at unchanged call sites" criterion is this
-    /// counter staying zero.
+    /// whose witness did not verify. An unchanged callee revived from
+    /// the store keeps this at zero
+    /// (`session::tests::summaries_round_trip_through_the_store`).
     pub fallback_checks: u64,
 }
 
 /// Whether full explorations route calls through procedure summaries.
-/// Parsed from `--summaries on|off|auto` / `DISE_SUMMARIES`.
+/// Parsed from `--summaries on|off`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SummaryMode {
     /// Never summarize; always inline.
     Off,
     /// Summarize every full exploration of a call-bearing program,
     /// falling back to inlining per run when a gate refuses (recursion,
-    /// depth bound, state cap, non-full strategy).
-    On,
-    /// Like `On`, but framed as a policy default: summaries apply exactly
-    /// when the configuration guarantees byte-identical verdicts. The
-    /// default.
+    /// depth bound, state cap, non-full strategy). The default.
     #[default]
-    Auto,
+    On,
 }
 
 impl SummaryMode {
-    /// Parses `on`/`off`/`auto` (case-insensitive).
+    /// Parses `on`/`off` (case-insensitive).
     pub fn parse(s: &str) -> Option<SummaryMode> {
         match s.to_ascii_lowercase().as_str() {
             "on" => Some(SummaryMode::On),
             "off" => Some(SummaryMode::Off),
-            "auto" => Some(SummaryMode::Auto),
             _ => None,
         }
     }
 
     /// Whether this mode permits summary use at all.
     pub fn enabled(self) -> bool {
-        !matches!(self, SummaryMode::Off)
+        self == SummaryMode::On
     }
 }
 
@@ -129,7 +124,6 @@ impl std::fmt::Display for SummaryMode {
         match self {
             SummaryMode::Off => f.write_str("off"),
             SummaryMode::On => f.write_str("on"),
-            SummaryMode::Auto => f.write_str("auto"),
         }
     }
 }

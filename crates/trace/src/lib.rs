@@ -30,7 +30,6 @@ pub use metrics::{MetricValue, MetricsRegistry, Stability};
 pub use schema::{validate_line, validate_log, LogSummary};
 pub use span::{OpenSpan, SpanId, SpanRecord, TraceEvent, TraceHandle, Tracer};
 
-/// Version stamped into every emitted trace record (and into
-/// `BENCH_*.json` host blocks); bump on any breaking change to the
-/// event-log format.
+/// Version stamped into every emitted trace record; bump on any
+/// breaking change to the event-log format.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;

@@ -21,6 +21,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 
@@ -41,23 +42,53 @@ def one_shot_residue(dise, base, mod, proc, store=None):
     )
 
 
-def run_server(dise, requests, extra_args=()):
-    """Sends `requests` to one `dise serve` process; returns {id: response}."""
-    proc = subprocess.run(
-        [dise, "serve", *extra_args],
-        input="".join(json.dumps(r) + "\n" for r in requests),
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        fail(f"serve exited with {proc.returncode}: {proc.stderr}")
-    responses = {}
-    for line in proc.stdout.splitlines():
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(f"unparseable response line {line!r}: {e}")
-        responses.setdefault(value.get("id"), []).append((line, value))
+def write_requests(stdin, requests):
+    for request in requests:
+        stdin.write(json.dumps(request) + "\n")
+    stdin.flush()
+
+
+def run_server(dise, requests, extra_args=(), last=None):
+    """Sends `requests` to one `dise serve` process and reads until every
+    one has answered; only then sends `last` (if given), so it observes
+    the batch settled, and closes stdin. Returns {id: [(line, value)]}."""
+    with tempfile.TemporaryFile(mode="w+") as stderr:
+        proc = subprocess.Popen(
+            [dise, "serve", *extra_args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+        )
+        # A writer thread, so a long batch cannot deadlock against
+        # responses filling the stdout pipe.
+        writer = threading.Thread(target=write_requests, args=(proc.stdin, requests))
+        writer.start()
+        responses = {}
+
+        def record(line):
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(f"unparseable response line {line!r}: {e}")
+            responses.setdefault(value.get("id"), []).append((line.rstrip("\n"), value))
+
+        pending = {r["id"] for r in requests}
+        while pending:
+            line = proc.stdout.readline()
+            if not line:
+                break
+            record(line)
+            pending.difference_update(responses)
+        writer.join()
+        if last is not None and not pending:
+            write_requests(proc.stdin, [last])
+        proc.stdin.close()
+        for line in proc.stdout:
+            record(line)
+        if proc.wait() != 0:
+            stderr.seek(0)
+            fail(f"serve exited with {proc.returncode}: {stderr.read()}")
     return responses
 
 
@@ -95,17 +126,17 @@ def main():
             next_id += 1
     random.Random(0).shuffle(requests)  # deterministic mixing
     status_id = next_id
-    requests.append({"jsonrpc": "2.0", "id": status_id, "method": "status"})
-
-    responses = run_server(dise, requests)
-    for request in requests:
-        if request["id"] not in responses:
-            fail(f"no response for id {request['id']}")
+    # `status` goes out only after every analyze request has answered, so
+    # no duplicate is still in flight when the counters are read.
+    responses = run_server(
+        dise, requests, last={"jsonrpc": "2.0", "id": status_id, "method": "status"}
+    )
+    for request_id in [r["id"] for r in requests] + [status_id]:
+        if request_id not in responses:
+            fail(f"no response for id {request_id}")
 
     outputs = {}
     for request in requests:
-        if request["method"] != "analyze":
-            continue
         line, value = responses[request["id"]][0]
         result = value.get("result")
         if result is None:
@@ -145,13 +176,12 @@ def main():
             )
             for b, m_ in pairs
         ]
-        analyze = [r for r in requests if r["method"] == "analyze"]
-        responses = run_server(dise, analyze, ["--store", store])
+        responses = run_server(dise, requests, ["--store", store])
         for p, (b, _) in zip(cli_procs, pairs):
             out, err = p.communicate(timeout=300)
             if p.returncode != 0:
                 fail(f"concurrent one-shot run for {b} failed under contention: {err}")
-        for request in analyze:
+        for request in requests:
             line, value = responses[request["id"]][0]
             if value.get("result") is None:
                 fail(f"serve request {request['id']} errored under contention: {line}")
@@ -165,7 +195,7 @@ def main():
             expected = one_shot_residue(dise, base, mod, proc_name)
             _, value = responses[
                 next(
-                    r["id"] for r in analyze
+                    r["id"] for r in requests
                     if r["params"]["request_id"] == f"pair{i:04}-0"
                 )
             ][0]

@@ -81,7 +81,7 @@ fn dise_reports_an_edit_deep_in_the_chain() {
 }
 
 #[test]
-fn dispatch_chain_verdicts_are_identical_across_jobs() {
+fn dispatch_chain_verdicts_are_identical_cold_warm_and_storeless() {
     // The disequality verdicts survive a store round trip: a warm run
     // restores them from the persisted trie and reports the same paths.
     let base = dispatch_chain(false);

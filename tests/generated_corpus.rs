@@ -15,7 +15,8 @@
 //! `target/corpus-failures/<seed>/`) so the seed can be replayed with
 //! `dise gen --seed <seed> --verify`.
 
-use dise::gen::{check_pair, evolve, GenParams, Scenario};
+use dise::core::dise::{run_dise, run_full_on, DiseConfig};
+use dise::gen::{check_pair, evolve, GenParams, Scenario, PROC_NAME};
 
 /// Per-block seed count multiplier (`DISE_CORPUS_SCALE`, default 1).
 fn scale() -> u64 {
@@ -31,8 +32,8 @@ const BLOCK: u64 = 50;
 /// Derives a diverse scenario shape from the seed: arms 2–4, guard depth
 /// 1–2, helpers 0–2 (0 = call-free, exercising the no-summary path),
 /// call depth 1–2, globals 2–3. Small sizes keep the debug-mode gate
-/// fast; the 10–100x sizes are covered by `scaled_smoke_pair` below and
-/// the `generated_scale` benchmark.
+/// fast; the 10–100x sizes are covered by `scaled_smoke_pair` and
+/// `full_over_directed_call_ratio_grows_with_program_size` below.
 fn params_for(seed: u64) -> GenParams {
     let mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     GenParams {
@@ -127,8 +128,7 @@ fn corpus_is_deterministic() {
 }
 
 /// One pair at ~10x the hand-written artifacts' size: the contracts must
-/// hold at scale, not just on toy programs (the 100x sizes run in the
-/// `generated_scale` benchmark, where wall-clock is budgeted for).
+/// hold at scale, not just on toy programs.
 #[test]
 fn scaled_smoke_pair() {
     let base = Scenario::generate(&GenParams {
@@ -149,4 +149,51 @@ fn scaled_smoke_pair() {
     assert!(report.ground_truth_nodes >= report.ground_truth_markers);
     assert!(report.directed_paths > 0);
     assert!(report.warm_affected_reused);
+}
+
+/// The paper's economics as a count: a localized change costs the
+/// directed run work that tracks the *change*, while full
+/// re-exploration of the modified version tracks the *program*. So the
+/// full-over-directed ratio of pipeline solver checks (trie and cache
+/// answers excluded) must grow from the 10x tier (24 arms) to 30x (72)
+/// and 100x (240). Each tier takes the first arm-local two-edit
+/// evolution at edit seed 2024 or above: a helper edit affects every
+/// calling arm, a global change full re-exploration handles no worse.
+#[test]
+fn full_over_directed_call_ratio_grows_with_program_size() {
+    const SEED: u64 = 2024;
+    let ratios: Vec<(usize, u64, u64)> = [24, 72, 240]
+        .into_iter()
+        .map(|arms| {
+            let base = Scenario::generate(&GenParams {
+                seed: SEED,
+                arms,
+                guard_depth: 2,
+                helpers: 3,
+                call_depth: 2,
+                globals: 3,
+            });
+            let evolution = (SEED..)
+                .map(|edit_seed| evolve(&base, edit_seed, 2))
+                .find(|evolution| evolution.is_arm_local())
+                .expect("edit-seed scan finds an arm-local evolution");
+            let modified = evolution.modified.program();
+            let config = DiseConfig::default();
+            let directed = run_dise(&base.program(), &modified, PROC_NAME, &config)
+                .expect("directed run succeeds");
+            let full = run_full_on(&modified, PROC_NAME, &config).expect("full run succeeds");
+            (
+                arms,
+                full.stats().solver.pipeline_checks(),
+                directed.summary.stats().solver.pipeline_checks(),
+            )
+        })
+        .collect();
+    let factor = |&(_, full, directed): &(usize, u64, u64)| full as f64 / directed.max(1) as f64;
+    assert!(
+        ratios
+            .windows(2)
+            .all(|pair| factor(&pair[1]) > factor(&pair[0])),
+        "full/directed pipeline checks per tier (arms, full, directed): {ratios:?}"
+    );
 }

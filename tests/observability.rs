@@ -46,7 +46,7 @@ fn check_stable_dump(name: &str, base: &Program, modified: &Program, proc_name: 
 }
 
 #[test]
-fn stable_registry_dump_is_jobs_invariant_on_figures() {
+fn stable_registry_dump_is_config_invariant_on_figures() {
     check_stable_dump(
         "fig2",
         &figures::fig2_base(),
@@ -56,7 +56,7 @@ fn stable_registry_dump_is_jobs_invariant_on_figures() {
 }
 
 #[test]
-fn stable_registry_dump_is_jobs_invariant_on_wbs() {
+fn stable_registry_dump_is_config_invariant_on_wbs() {
     let artifact = wbs::artifact();
     for version in &artifact.versions {
         check_stable_dump(
@@ -69,7 +69,7 @@ fn stable_registry_dump_is_jobs_invariant_on_wbs() {
 }
 
 #[test]
-fn stable_registry_dump_is_jobs_invariant_on_oae() {
+fn stable_registry_dump_is_config_invariant_on_oae() {
     let artifact = oae::artifact();
     for version in &artifact.versions {
         check_stable_dump(
@@ -82,7 +82,7 @@ fn stable_registry_dump_is_jobs_invariant_on_oae() {
 }
 
 #[test]
-fn stable_registry_dump_is_jobs_invariant_on_asw() {
+fn stable_registry_dump_is_config_invariant_on_asw() {
     let artifact = asw::artifact();
     for version in artifact.versions.iter().take(4) {
         check_stable_dump(

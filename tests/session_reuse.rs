@@ -73,7 +73,7 @@ fn evolution_pairs() -> Vec<(String, &'static str, Program, Program)> {
 }
 
 #[test]
-fn session_results_are_byte_identical_to_run_dise_at_jobs_1_and_4() {
+fn session_results_are_byte_identical_to_run_dise() {
     for (name, proc_name, base, modified) in evolution_pairs() {
         let context = name.to_string();
         let mut session =

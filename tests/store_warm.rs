@@ -90,7 +90,7 @@ fn evolution_pairs() -> Vec<(String, &'static str, Program, Program)> {
 }
 
 #[test]
-fn warm_runs_are_byte_identical_at_jobs_1_and_4() {
+fn warm_runs_are_byte_identical_to_cold() {
     for (name, proc_name, base, modified) in evolution_pairs() {
         let dir = temp_dir("identity");
         let store_cfg = config(Some(dir.clone()));
