@@ -498,8 +498,7 @@ fn print_hop(
 
 /// `dise profile` — run the pipeline with tracing on and print the
 /// hierarchical span tree, then account for how many pipeline solver
-/// checks (incremental + monolithic fallback decisions) landed inside a
-/// named stage span.
+/// checks landed inside a named stage span.
 fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     for flag in flags {
         if *flag != "--full" {

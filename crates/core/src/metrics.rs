@@ -74,7 +74,8 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         Stability::Volatile,
     );
 
-    // Solver attribution: which tier answered varies with warm state.
+    // Solver attribution: trie answers vs. pipeline checks vary with warm
+    // state.
     let s = &stats.solver;
     reg.set_counter("solver.checks", s.checks, Stability::Volatile);
     reg.set_counter(
@@ -82,12 +83,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
         s.incremental_checks,
         Stability::Volatile,
     );
-    reg.set_counter(
-        "solver.fallback_checks",
-        s.fallback_checks,
-        Stability::Volatile,
-    );
-    reg.set_counter("solver.cache_hits", s.cache_hits, Stability::Volatile);
     reg.set_counter(
         "solver.prefix_cache_hits",
         s.prefix_cache_hits,
@@ -101,11 +96,6 @@ pub fn exec_registry(stats: &ExecStats) -> MetricsRegistry {
     reg.set_counter(
         "solver.model_reuse_hits",
         s.model_reuse_hits,
-        Stability::Volatile,
-    );
-    reg.set_counter(
-        "solver.cache_evictions",
-        s.cache_evictions,
         Stability::Volatile,
     );
     reg.set_counter("solver.assumed_sat", s.assumed_sat, Stability::Volatile);

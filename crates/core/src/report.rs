@@ -124,28 +124,23 @@ pub fn verdict_pc_block<T: std::fmt::Display>(pcs: impl IntoIterator<Item = T>) 
 }
 
 /// One-line summary of solver activity for the CLI: total checks, how many
-/// were answered incrementally vs. by monolithic fallback, and the
-/// combined cache/prefix hit rate. Reads the `solver.*` metrics of a
-/// registry built by [`crate::metrics::exec_registry`].
+/// ran the decision pipeline, and the combined prefix-trie hit rate. Reads
+/// the `solver.*` metrics of a registry built by
+/// [`crate::metrics::exec_registry`].
 pub fn solver_stats_line(reg: &MetricsRegistry) -> String {
     let checks = reg.counter("solver.checks");
-    let hits = reg.counter("solver.cache_hits")
-        + reg.counter("solver.prefix_cache_hits")
-        + reg.counter("solver.prefix_unsat_kills");
+    let hits = reg.counter("solver.prefix_cache_hits") + reg.counter("solver.prefix_unsat_kills");
     let hit_rate = if checks == 0 {
         "n/a".to_string()
     } else {
         format!("{:.0}%", hits as f64 / checks as f64 * 100.0)
     };
     format!(
-        "{} checks ({} incremental, {} fallback, {} model-reuse), \
-         {} cache hits, {} prefix-trie hits, {} unsat-prefix kills, \
-         hit rate {}",
+        "{} checks ({} incremental, {} model-reuse), \
+         {} prefix-trie hits, {} unsat-prefix kills, hit rate {}",
         checks,
         reg.counter("solver.incremental_checks"),
-        reg.counter("solver.fallback_checks"),
         reg.counter("solver.model_reuse_hits"),
-        reg.counter("solver.cache_hits"),
         reg.counter("solver.prefix_cache_hits"),
         reg.counter("solver.prefix_unsat_kills"),
         hit_rate,
@@ -292,7 +287,6 @@ mod tests {
         let mut stats = ExecStats::default();
         stats.solver.checks = 10;
         stats.solver.incremental_checks = 6;
-        stats.solver.fallback_checks = 1;
         stats.solver.model_reuse_hits = 4;
         stats.solver.prefix_cache_hits = 2;
         stats.solver.prefix_unsat_kills = 1;
@@ -303,9 +297,8 @@ mod tests {
         assert!(line.contains("2 prefix-trie hits"), "{line}");
         assert_eq!(
             solver_stats_line(&exec_registry(&ExecStats::default())),
-            "0 checks (0 incremental, 0 fallback, 0 model-reuse), \
-             0 cache hits, 0 prefix-trie hits, 0 unsat-prefix kills, \
-             hit rate n/a"
+            "0 checks (0 incremental, 0 model-reuse), \
+             0 prefix-trie hits, 0 unsat-prefix kills, hit rate n/a"
         );
         // An empty registry renders the same quiescent line.
         assert_eq!(

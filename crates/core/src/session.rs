@@ -618,10 +618,7 @@ impl AnalysisSession {
                         "solver.pipeline_checks".to_string(),
                         s.solver.pipeline_checks(),
                     ),
-                    (
-                        "solver.cache_hits".to_string(),
-                        s.solver.cache_hits + s.solver.prefix_cache_hits,
-                    ),
+                    ("solver.cache_hits".to_string(), s.solver.prefix_cache_hits),
                 ],
             );
             self.executor = Some(executor);

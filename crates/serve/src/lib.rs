@@ -102,8 +102,8 @@ pub struct MetricsSnapshot {
     pub evictions: u64,
     /// Requests answered with a JSON-RPC error.
     pub errors: u64,
-    /// Pipeline solver calls spent by all explorations (incremental +
-    /// fallback decisions; cache/trie answers excluded). Warm-hit
+    /// Pipeline solver calls spent by all explorations (trie answers
+    /// excluded). Warm-hit
     /// requests add 0 here — the bench pins that.
     pub pipeline_solver_calls: u64,
     /// Live cache entries.
@@ -711,8 +711,7 @@ fn result_records(
         stats_record(&scope, Stability::Stable, &registry),
         stats_record(&scope, Stability::Volatile, &registry)
     );
-    let solver = &result.summary.stats().solver;
-    let pipeline = solver.incremental_checks + solver.fallback_checks;
+    let pipeline = result.summary.stats().solver.pipeline_checks();
     (records, scope, registry, pipeline)
 }
 

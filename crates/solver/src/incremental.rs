@@ -1,11 +1,10 @@
-//! The incremental solver — the *fast tier* of the two-tier architecture.
+//! The incremental solver — the crate's one decision procedure.
 //!
 //! [`IncrementalSolver`] mirrors the symbolic executor's DFS stack with a
-//! `push(literal)` / `pop()` / `check()` API. Where the monolithic
-//! [`Solver`] re-runs the whole pipeline (NNF, DNF split, interval
-//! propagation, Fourier–Motzkin, model search) over the full path
-//! condition on every query, the incremental solver retains derived state
-//! per stack frame and only processes the newly pushed branch literal:
+//! `push(literal)` / `pop()` / `check()` API. Instead of re-running the
+//! whole pipeline over the full path condition on every query, it retains
+//! derived state per stack frame and only processes the newly pushed
+//! branch literal:
 //!
 //! * **Hash-consed literals** — every pushed literal is interned to a
 //!   [`TermId`], so prefix identity is a sequence of integers, not trees.
@@ -22,28 +21,29 @@
 //!   boolean literal (a disjunction, an integer disequality, a non-linear
 //!   comparison) is kept as a residual: interval propagation and
 //!   Fourier–Motzkin ignore it, and the model search evaluates it as soon
-//!   as its variables are assigned. No literal switches the path to a
-//!   different decision procedure.
-//! * **Monolithic fallback** — only when the incremental decision comes
-//!   back `Unknown` (search budget, overflow) does `check` consult the
-//!   inner [`Solver`], whose DNF case split may still decide the path.
-//!   The incremental tier is therefore never less decided than the
-//!   monolithic one.
+//!   as its variables are assigned.
+//! * **Case split** — only when the search and Fourier–Motzkin leave the
+//!   path undecided does `check` split the first residual disjunction or
+//!   integer disequality into its alternatives and decide each one, within
+//!   [`SolverConfig::case_budget`] leaves.
 //!
-//! Soundness mirrors the monolithic contract: `Unsat` only when provable,
-//! `Sat` only with a model verified against every pushed literal,
-//! `Unknown` otherwise (budgets, overflow). The same `case_budget = 0`
-//! starvation semantics apply: any non-empty query returns `Unknown`.
+//! [`Solver::check`](crate::Solver::check) is this solver on a fresh stack:
+//! push every constraint, check once.
+//!
+//! Soundness: `Unsat` only when provable, `Sat` only with a model verified
+//! against every pushed literal, `Unknown` otherwise (budgets, overflow).
+//! A `case_budget` of 0 starves the solver: any non-empty query returns
+//! `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::intern::TermId;
+use crate::intern::{Interner, TermId};
 use crate::linear::LinAtom;
 use crate::model::{Model, Value};
 use crate::snapshot::{Bounds, TrieEntry, TrieSnapshot};
 use crate::solve::{
-    classify, decide_conjunction, flatten_conjunct, nnf, CaseVerdict, Classified, SatResult,
-    Solver, SolverConfig, SolverStats,
+    classify, decide_conjunction, flatten_conjunct, nnf, split_alternatives, CaseVerdict,
+    Classified, SatResult, SolverConfig, SolverStats,
 };
 use crate::sym::{SymExpr, SymTy, SymVar};
 
@@ -87,7 +87,8 @@ struct Frame {
 /// trie. See the [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct IncrementalSolver {
-    inner: Solver,
+    config: SolverConfig,
+    interner: Interner,
     frames: Vec<Frame>,
     /// All pushed literals, in push order (the current path condition).
     lits: Vec<SymExpr>,
@@ -99,9 +100,7 @@ pub struct IncrementalSolver {
     trie: Vec<TrieNode>,
     /// Shallowest frame known to be UNSAT (contradiction or verdict).
     unsat_depth: Option<usize>,
-    /// Incremental-tier counters (merged with the inner solver's by
-    /// [`Self::stats`]).
-    local: SolverStats,
+    stats: SolverStats,
 }
 
 impl Default for IncrementalSolver {
@@ -119,7 +118,8 @@ impl IncrementalSolver {
     /// Creates an incremental solver with explicit configuration.
     pub fn with_config(config: SolverConfig) -> IncrementalSolver {
         IncrementalSolver {
-            inner: Solver::with_config(config),
+            config,
+            interner: Interner::default(),
             frames: Vec::new(),
             lits: Vec::new(),
             lin: Vec::new(),
@@ -128,7 +128,7 @@ impl IncrementalSolver {
             vars: BTreeMap::new(),
             trie: vec![TrieNode::default()],
             unsat_depth: None,
-            local: SolverStats::default(),
+            stats: SolverStats::default(),
         }
     }
 
@@ -142,14 +142,9 @@ impl IncrementalSolver {
         &self.lits
     }
 
-    /// Combined activity counters: the monolithic fallback tier's plus the
-    /// incremental tier's. `checks` counts each query once: every inner
-    /// check is a fallback for a query this tier already counted.
+    /// Activity counters accumulated so far.
     pub fn stats(&self) -> SolverStats {
-        let mut merged = *self.inner.stats();
-        merged.checks = 0;
-        merged.merge(&self.local);
-        merged
+        self.stats
     }
 
     /// The verified model at the current depth, when the last `check` at
@@ -171,7 +166,7 @@ impl IncrementalSolver {
 
     /// Pushes one branch literal onto the path.
     pub fn push(&mut self, lit: SymExpr) {
-        let term = self.inner.interner.intern(&lit);
+        let term = self.interner.intern(&lit);
         let trie_node = self.trie_child(term);
         let mut frame = Frame {
             trie_node,
@@ -186,8 +181,7 @@ impl IncrementalSolver {
             bounds: None,
         };
 
-        // Normalize exactly like the monolithic front end: NNF, then
-        // conjunction flattening.
+        // Normalize: NNF, then conjunction flattening.
         let mut conjuncts = Vec::new();
         if !flatten_conjunct(&nnf(&lit, true), &mut conjuncts) {
             frame.contradiction = true;
@@ -281,16 +275,16 @@ impl IncrementalSolver {
         {
             return false;
         }
-        self.local.assumed_sat += 1;
+        self.stats.assumed_sat += 1;
         self.conclude(top, SatResult::Sat, Some(model.clone()), None);
         true
     }
 
     /// Decides the conjunction of all pushed literals.
     pub fn check(&mut self) -> SatResult {
-        self.local.checks += 1;
+        self.stats.checks += 1;
         if self.frames.is_empty() {
-            self.local.sat += 1;
+            self.stats.sat += 1;
             return SatResult::Sat;
         }
         let top = self.frames.len() - 1;
@@ -298,7 +292,7 @@ impl IncrementalSolver {
         // A memoized verdict at this exact depth (repeated check without
         // an intervening push/pop).
         if let Some(verdict) = self.frames[top].verdict {
-            self.local.prefix_cache_hits += 1;
+            self.stats.prefix_cache_hits += 1;
             self.tally(verdict);
             return verdict;
         }
@@ -307,7 +301,7 @@ impl IncrementalSolver {
         // whole extension: conjunctions only ever get stronger.
         if let Some(depth) = self.unsat_depth {
             if depth < top {
-                self.local.prefix_unsat_kills += 1;
+                self.stats.prefix_unsat_kills += 1;
             }
             return self.conclude(top, SatResult::Unsat, None, None);
         }
@@ -316,7 +310,7 @@ impl IncrementalSolver {
         // (divergent-branch re-exploration, repeated runs).
         if let Some(node) = self.frames[top].trie_node {
             if let Some(verdict) = self.trie[node].verdict {
-                self.local.prefix_cache_hits += 1;
+                self.stats.prefix_cache_hits += 1;
                 let model = self.trie[node].model.clone();
                 let bounds = self.trie[node].bounds.clone();
                 self.frames[top].verdict = Some(verdict);
@@ -329,19 +323,29 @@ impl IncrementalSolver {
         }
 
         // Starvation semantics: a zero case budget answers Unknown for any
-        // non-empty query, exactly like the monolithic tier.
-        if self.inner.config().case_budget == 0 {
-            self.local.incremental_checks += 1;
+        // non-empty query.
+        if self.config.case_budget == 0 {
+            self.stats.incremental_checks += 1;
             return self.conclude(top, SatResult::Unknown, None, None);
         }
 
-        let (verdict, bounds) = self.decide(top);
+        let (verdict, bounds) = match self.decide(top) {
+            (CaseVerdict::Unknown, Some(bounds)) => {
+                let (lin, residuals) = (self.lin.clone(), self.residuals.clone());
+                let mut leaves = self.config.case_budget;
+                let verdict =
+                    self.split(&lin, &residuals, &self.fixed_model(), &bounds, &mut leaves);
+                (verdict, Some(bounds))
+            }
+            decision => decision,
+        };
         let (verdict, model) = match verdict {
             CaseVerdict::Sat(model) => (SatResult::Sat, Some(model)),
             CaseVerdict::Unsat => (SatResult::Unsat, None),
-            CaseVerdict::Unknown => return self.fall_back(top, bounds),
+            CaseVerdict::Unknown => (SatResult::Unknown, None),
         };
-        self.local.incremental_checks += 1;
+        self.stats.incremental_checks += 1;
+        let bounds = bounds.filter(|_| verdict != SatResult::Unsat);
         self.conclude(top, verdict, model, bounds)
     }
 
@@ -358,7 +362,7 @@ impl IncrementalSolver {
         // by a literal the old model happens to satisfy.
         if let Some(candidate) = self.reuse_candidate(top) {
             if self.lits.iter().all(|lit| candidate.satisfies(lit)) {
-                self.local.model_reuse_hits += 1;
+                self.stats.model_reuse_hits += 1;
                 return (CaseVerdict::Sat(candidate), None);
             }
         }
@@ -386,8 +390,8 @@ impl IncrementalSolver {
             pinned.as_ref().unwrap_or(&fixed),
             &parent_bounds,
             &self.lits,
-            self.inner.config(),
-            &mut self.local,
+            &self.config,
+            &mut self.stats,
         );
         if pinned.is_none() || !matches!(decision.0, CaseVerdict::Unknown) {
             return decision;
@@ -399,23 +403,91 @@ impl IncrementalSolver {
             &fixed,
             &parent_bounds,
             &self.lits,
-            self.inner.config(),
-            &mut self.local,
+            &self.config,
+            &mut self.stats,
         )
     }
 
-    /// Hands an undecided path to the monolithic tier, whose DNF case
-    /// split may still decide it. Counted once, as a fallback check; the
-    /// inner solver tallies the verdict. The incremental interval fixed
-    /// point stays the child frames' seed: it over-approximates the path's
-    /// solutions whatever the inner verdict.
-    fn fall_back(&mut self, top: usize, bounds: Option<Bounds>) -> SatResult {
-        self.local.fallback_checks += 1;
-        let outcome = self.inner.check(&self.lits);
-        let verdict = outcome.result();
-        let bounds = bounds.filter(|_| verdict != SatResult::Unsat);
-        self.record(top, verdict, outcome.model().cloned(), bounds);
-        verdict
+    /// Decides a path the searches and Fourier–Motzkin left undecided by
+    /// splitting its first residual that [`split_alternatives`] divides (a
+    /// disjunction or an integer `!=`). Each alternative replaces that
+    /// residual and is decided by [`decide_conjunction`], seeded with the
+    /// path's pre-split interval fixed point; an alternative that is still
+    /// undecided is split again. At most `leaves` alternatives are tried.
+    /// Any verified `Sat` wins, `Unsat` needs every alternative `Unsat`,
+    /// and anything else is `Unknown`.
+    fn split(
+        &mut self,
+        lin: &[LinAtom],
+        residuals: &[SymExpr],
+        fixed: &Model,
+        seed: &Bounds,
+        leaves: &mut usize,
+    ) -> CaseVerdict {
+        let Some((at, alternatives)) = residuals.iter().enumerate().find_map(|(at, residual)| {
+            let alternatives = split_alternatives(residual);
+            (alternatives.len() > 1).then_some((at, alternatives))
+        }) else {
+            return CaseVerdict::Unknown;
+        };
+        let mut undecided = false;
+        for alternative in &alternatives {
+            if *leaves == 0 {
+                return CaseVerdict::Unknown;
+            }
+            *leaves -= 1;
+            let mut atoms = Vec::new();
+            if !alternative
+                .iter()
+                .all(|atom| flatten_conjunct(atom, &mut atoms))
+            {
+                continue;
+            }
+            let (mut lin, mut residuals, mut fixed) =
+                (lin.to_vec(), residuals.to_vec(), fixed.clone());
+            residuals.remove(at);
+            let mut contradiction = false;
+            for atom in &atoms {
+                match classify(atom) {
+                    Classified::True => {}
+                    Classified::False => contradiction = true,
+                    Classified::BoolAssign(var, value) => match fixed.value(&var) {
+                        Some(Value::Bool(existing)) if existing != value => contradiction = true,
+                        _ => fixed.set(var.id(), Value::Bool(value)),
+                    },
+                    Classified::Linear(atom) => lin.push(atom),
+                    Classified::Residual(expr) => residuals.push(expr),
+                }
+            }
+            if contradiction {
+                continue;
+            }
+            let verdict = match decide_conjunction(
+                &lin,
+                &residuals,
+                &self.vars,
+                &fixed,
+                seed,
+                &self.lits,
+                &self.config,
+                &mut self.stats,
+            )
+            .0
+            {
+                CaseVerdict::Unknown => self.split(&lin, &residuals, &fixed, seed, leaves),
+                decided => decided,
+            };
+            match verdict {
+                CaseVerdict::Sat(model) => return CaseVerdict::Sat(model),
+                CaseVerdict::Unsat => {}
+                CaseVerdict::Unknown => undecided = true,
+            }
+        }
+        if undecided {
+            CaseVerdict::Unknown
+        } else {
+            CaseVerdict::Unsat
+        }
     }
 
     /// Records a verdict at depth `top` (frame, trie, tallies).
@@ -448,7 +520,7 @@ impl IncrementalSolver {
 
     /// Records an UNSAT verdict at `depth` so later extensions die by the
     /// instant prefix kill instead of re-running any pipeline. Every path
-    /// that produces a verdict (pipeline, trie restore, fallback) must
+    /// that produces a verdict (pipeline, trie restore) must
     /// route through this to keep the "UNSAT ancestor kills extensions"
     /// invariant.
     fn note_unsat(&mut self, depth: usize, verdict: SatResult) {
@@ -459,9 +531,9 @@ impl IncrementalSolver {
 
     fn tally(&mut self, verdict: SatResult) {
         match verdict {
-            SatResult::Sat => self.local.sat += 1,
-            SatResult::Unsat => self.local.unsat += 1,
-            SatResult::Unknown => self.local.unknown += 1,
+            SatResult::Sat => self.stats.sat += 1,
+            SatResult::Unsat => self.stats.unsat += 1,
+            SatResult::Unknown => self.stats.unknown += 1,
         }
     }
 
@@ -496,7 +568,7 @@ impl IncrementalSolver {
         if let Some(&child) = self.trie[parent].children.get(&term) {
             return Some(child);
         }
-        if self.trie.len() >= self.inner.config().prefix_trie_capacity {
+        if self.trie.len() >= self.config.prefix_trie_capacity {
             return None;
         }
         let child = self.trie.len();
@@ -556,7 +628,7 @@ impl IncrementalSolver {
             mapped[i] = Some(entries.len() as u32);
         }
         TrieSnapshot {
-            terms: self.inner.interner.terms().to_vec(),
+            terms: self.interner.terms().to_vec(),
             entries,
         }
     }
@@ -595,7 +667,7 @@ impl IncrementalSolver {
                 },
                 other => other.clone(),
             };
-            ids.push(self.inner.interner.intern_term(mapped));
+            ids.push(self.interner.intern_term(mapped));
         }
         let mut imported = 0;
         // Local node behind each snapshot index (0 = root).
@@ -767,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_unsat_still_kills_extensions() {
+    fn residual_unsat_still_kills_extensions() {
         let (_, x, y, _) = setup();
         let mut solver = IncrementalSolver::new();
         // A complex (disjunctive) literal that is UNSAT together with its
@@ -783,8 +855,6 @@ mod tests {
         assert_eq!(solver.check(), SatResult::Unsat);
         let after = solver.stats();
         assert_eq!(after.prefix_unsat_kills, before.prefix_unsat_kills + 1);
-        // No monolithic re-expansion for the extension.
-        assert_eq!(after.fallback_checks, before.fallback_checks);
     }
 
     #[test]
@@ -837,7 +907,6 @@ mod tests {
         }
         assert_eq!(solver.check(), SatResult::Sat);
         let stats = solver.stats();
-        assert_eq!(stats.fallback_checks, 0, "{stats:?}");
         assert_eq!(stats.incremental_checks, 1, "{stats:?}");
         let model = solver.model().unwrap();
         assert!(path.iter().all(|lit| model.satisfies(lit)));
@@ -850,7 +919,6 @@ mod tests {
         let after = solver.stats();
         assert_eq!(after.model_reuse_hits, before.model_reuse_hits + 1);
         assert_eq!(after.model_searches, before.model_searches);
-        assert_eq!(after.fallback_checks, 0);
     }
 
     #[test]
@@ -870,7 +938,6 @@ mod tests {
         solver.push(path[1].clone());
         assert_eq!(solver.check(), SatResult::Sat);
         let stats = solver.stats();
-        assert_eq!(stats.fallback_checks, 0, "{stats:?}");
         assert_eq!(stats.incremental_checks, 2, "{stats:?}");
         let model = solver.model().unwrap();
         assert!(path.iter().all(|lit| model.satisfies(lit)));
@@ -882,12 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn undecided_disequality_falls_back_once() {
+    fn undecided_disequality_splits_in_place() {
         let (_, x, y, _) = setup();
         let mut solver = IncrementalSolver::new();
         // Propagation pins x = 0, the search refutes its only candidate,
-        // and FM over the linear atoms finds no conflict: the incremental
-        // decision is Unknown, and the monolithic case split proves UNSAT.
+        // and FM over the linear atoms finds no conflict; splitting
+        // x != 0 into x < 0 and x > 0 refutes both alternatives.
         solver.push(SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)));
         solver.push(SymExpr::le(SymExpr::var(&x), SymExpr::int(0)));
         solver.push(SymExpr::Binary {
@@ -898,16 +965,14 @@ mod tests {
         assert_eq!(solver.check(), SatResult::Unsat);
         let stats = solver.stats();
         assert_eq!(stats.checks, 1, "{stats:?}");
-        assert_eq!(stats.fallback_checks, 1, "{stats:?}");
-        assert_eq!(stats.incremental_checks, 0, "{stats:?}");
         assert_eq!(stats.pipeline_checks(), 1, "{stats:?}");
         assert_eq!(stats.unsat, 1, "{stats:?}");
-        // The fallback's UNSAT kills extensions like any other.
+        // The split's UNSAT kills extensions like any other.
         solver.push(SymExpr::gt(SymExpr::var(&y), SymExpr::int(0)));
         assert_eq!(solver.check(), SatResult::Unsat);
         let after = solver.stats();
         assert_eq!(after.prefix_unsat_kills, 1);
-        assert_eq!(after.fallback_checks, 1);
+        assert_eq!(after.pipeline_checks(), 1);
     }
 
     #[test]
@@ -1143,16 +1208,14 @@ mod tests {
         let mut solver = IncrementalSolver::new();
         solver.push(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)));
         assert_eq!(solver.check(), SatResult::Sat);
-        // A disjunction is decided by the incremental tier too.
         solver.push(SymExpr::or(
             SymExpr::lt(SymExpr::var(&x), SymExpr::int(-5)),
             SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
         ));
         assert_eq!(solver.check(), SatResult::Sat);
-        // A path the incremental decision leaves Unknown goes to the
-        // inner tier: with x <= 6 and x != 6 added, the search refutes
-        // every candidate in [1, 6], FM over the linear atoms finds no
-        // conflict, and the monolithic case split proves UNSAT.
+        // With x <= 6 and x != 6 added, the search refutes every candidate
+        // in [1, 6], FM over the linear atoms finds no conflict, and the
+        // case split proves UNSAT.
         solver.push(SymExpr::le(SymExpr::var(&x), SymExpr::int(6)));
         solver.push(SymExpr::Binary {
             op: BinOp::Ne,
@@ -1161,13 +1224,9 @@ mod tests {
         });
         assert_eq!(solver.check(), SatResult::Unsat);
         let stats = solver.stats();
-        // Each query is counted once, in exactly one tier.
         assert_eq!(stats.checks, 3, "{stats:?}");
-        assert_eq!(stats.incremental_checks, 2, "{stats:?}");
-        assert_eq!(stats.fallback_checks, 1, "{stats:?}");
+        assert_eq!(stats.incremental_checks, 3, "{stats:?}");
         assert_eq!(stats.pipeline_checks(), 3, "{stats:?}");
-        // Each query tallies one verdict: the fallback's UNSAT is counted
-        // by the inner tier, not double-counted locally.
         assert_eq!(stats.sat, 2, "{stats:?}");
         assert_eq!(stats.unsat, 1, "{stats:?}");
     }

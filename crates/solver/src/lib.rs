@@ -1,24 +1,18 @@
-//! # dise-solver — symbolic expressions and two-tier constraint solving
+//! # dise-solver — symbolic expressions and incremental constraint solving
 //!
 //! The paper's prototype delegates path-condition satisfiability to the
 //! Choco solver. This crate is the equivalent substrate, built from
-//! scratch, organized as a **two-tier decision architecture**:
-//!
-//! * the **incremental tier** ([`incremental::IncrementalSolver`]) mirrors
-//!   the symbolic executor's DFS with `push`/`pop`/`check`. It retains
-//!   per-frame derived state (flattened atoms, interval fixed points,
-//!   boolean assignments, the last verified model) so each check processes
-//!   only the newly pushed branch literal; verdicts are memoized in a
-//!   prefix trie keyed by hash-consed [`intern::TermId`]s, so repeated
-//!   prefixes are answered without solving and an UNSAT prefix kills all
-//!   of its extensions;
-//! * the **monolithic tier** ([`solve::Solver`]) runs the full pipeline
-//!   over an arbitrary constraint vector, with a bounded (LRU-evicting)
-//!   result cache keyed by interned term ids. The incremental tier decides
-//!   every literal itself (disjunctions and disequalities are evaluated by
-//!   its model search) and consults this tier only when its own decision
-//!   comes back `Unknown`; the non-executor clients (witness replay, test
-//!   generation, simplification) use it directly.
+//! scratch around **one decision procedure**, the incremental solver
+//! ([`incremental::IncrementalSolver`]). It mirrors the symbolic
+//! executor's DFS with `push`/`pop`/`check` and retains per-frame derived
+//! state (flattened atoms, interval fixed points, boolean assignments, the
+//! last verified model), so each check processes only the newly pushed
+//! branch literal. Verdicts are memoized in a prefix trie keyed by
+//! hash-consed [`intern::TermId`]s, so repeated prefixes are answered
+//! without solving and an UNSAT prefix kills all of its extensions. The
+//! one-shot [`solve::Solver`] (witness replay, test generation,
+//! simplification) pushes a whole constraint vector onto a fresh
+//! incremental solver and checks once.
 //!
 //! Module map:
 //!
@@ -35,28 +29,29 @@
 //!   integers; rational-SAT answers are confirmed by model search);
 //! * [`model`] — integer/boolean model construction by bounded backtracking
 //!   search over propagated intervals;
-//! * [`solve`] — the monolithic [`Solver`] facade: normalization, case
-//!   splitting, bounded caching, statistics, and the SPF-compatible
-//!   "unknown ⇒ unsat" policy (§4.1 of the paper; configurable);
+//! * [`solve`] — the shared decision core (normalization, per-case
+//!   decision, case-split alternatives), verdicts, statistics, and the
+//!   one-shot [`Solver`] facade;
 //! * [`incremental`] — the [`IncrementalSolver`] described above;
 //! * [`snapshot`] — portable images of the incremental solver's prefix
 //!   trie (store warm starts and in-process handoffs) and their
 //!   determinism contract;
 //! * [`simplify`] — path-condition subsumption for display.
 //!
-//! Decision-procedure soundness contract (both tiers):
+//! Decision-procedure soundness contract:
 //!
 //! * [`SatResult::Unsat`] is only returned when the constraint system
 //!   provably has no integer/boolean solution;
 //! * [`SatResult::Sat`] is only returned together with a verified model
-//!   (the incremental tier exposes it via
+//!   (the incremental solver exposes it via
 //!   [`incremental::IncrementalSolver::model`]);
 //! * everything else is [`SatResult::Unknown`], which the symbolic executor
-//!   maps according to its configured policy.
+//!   maps according to its configured policy (the SPF-compatible
+//!   "unknown ⇒ unsat" by default, §4.1 of the paper).
 //!
 //! # Examples
 //!
-//! Monolithic one-shot check:
+//! One-shot check:
 //!
 //! ```
 //! use dise_solver::{Solver, SymExpr, SymTy, VarPool};

@@ -5,8 +5,8 @@
 //! is a normalized constraint `expr ≤ 0` or `expr = 0`; strict inequalities
 //! over the integers are absorbed into `≤` (`e < 0 ⇔ e + 1 ≤ 0`), and `≥`,
 //! `>` flip sides. Disequalities are *not* atoms — the incremental solver
-//! evaluates them as residuals during model search, and the monolithic
-//! solver case-splits them into `<` and `>`.
+//! evaluates them as residuals during model search, and case-splits them
+//! into `<` and `>` only when the search leaves a path undecided.
 //!
 //! All arithmetic is checked; overflow makes extraction fail, which the
 //! solver maps to [`crate::SatResult::Unknown`] (never to a wrong answer).

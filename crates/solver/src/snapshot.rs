@@ -23,9 +23,10 @@
 //! and every frame below it behaves identically whether its parent was
 //! solved or restored. The only reuse gate is the solver
 //! *configuration* (case budgets change `Unknown` verdicts), which
-//! callers compare via [`crate::SolverConfig::cache_key`]. Store warm
-//! starts and in-process handoffs between pipeline stages both rely on
-//! this contract.
+//! callers compare via [`crate::SolverConfig::cache_key`]; a change to
+//! the decision procedure itself bumps the store's format version. Store
+//! warm starts and in-process handoffs between pipeline stages both rely
+//! on this contract.
 //!
 //! `dise-store` serializes snapshots to disk with an integrity header;
 //! this module stays I/O-free.

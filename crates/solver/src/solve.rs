@@ -1,47 +1,28 @@
-//! The monolithic [`Solver`] facade — the *fallback tier* of the two-tier
-//! solving architecture.
+//! The shared decision core and the one-shot [`Solver`] facade.
 //!
-//! The solver crate decides path conditions at two tiers:
+//! Path conditions are decided by one procedure, the incremental solver
+//! ([`crate::incremental::IncrementalSolver`]). This module holds the
+//! parts of it that do not depend on the push/pop stack:
 //!
-//! * **Incremental tier** ([`crate::incremental::IncrementalSolver`]) —
-//!   mirrors the executor's DFS with `push`/`pop`/`check`, retaining
-//!   per-frame derived state (flattened atoms, interval bounds, boolean
-//!   assignments, last verified model) so each check processes only the
-//!   newly pushed branch literal and propagates deltas. Verdicts live in a
-//!   prefix trie keyed by hash-consed [`crate::intern::TermId`]s, so a
-//!   repeated prefix is answered without re-solving and an UNSAT prefix
-//!   kills all of its extensions.
-//! * **Monolithic tier** (this module) — the full pipeline over an
-//!   arbitrary constraint vector. The incremental tier consults it only
-//!   when its own decision comes back `Unknown` (the DNF case split may
-//!   still decide a path the residual-evaluating search gave up on); it
-//!   also serves the non-executor clients (witness replay, test
-//!   generation, PC simplification).
+//! 1. normalization: conjunctions are flattened and negations pushed
+//!    inward (NNF — the smart constructors already keep comparisons in
+//!    atom form), and each atom is classified as linear, a boolean
+//!    assignment, or a residual;
+//! 2. `decide_conjunction`: interval propagation (quick UNSAT), a search
+//!    for an explicit integer/boolean model verified against the original
+//!    constraints (sound SAT), and — only when none is found — equality
+//!    substitution and Fourier–Motzkin (sound UNSAT);
+//! 3. `split_alternatives`: the alternatives of a residual disjunction or
+//!    integer disequality, for the incremental solver's case split.
 //!
-//! The monolithic pipeline over a conjunction of boolean symbolic
-//! expressions:
-//!
-//! 1. flatten conjunctions and push negations inward (NNF — the smart
-//!    constructors already keep comparisons in atom form);
-//! 2. split disjunctions and integer disequalities into *cases* (DNF) under
-//!    a budget;
-//! 3. per case: extract linear atoms, propagate intervals (quick UNSAT),
-//!    search for an explicit integer/boolean model (sound SAT), and only
-//!    when none is found substitute equalities and run Fourier–Motzkin
-//!    (sound UNSAT);
-//! 4. verify any model against the original constraints before reporting
-//!    [`SatResult::Sat`].
-//!
-//! Results are cached per constraint vector, keyed by interned
-//! [`crate::intern::TermId`]s (O(1) hashing/equality instead of deep-tree
-//! hashing). The cache is bounded: when it reaches
-//! [`SolverConfig::cache_capacity`], the least-recently-used quarter is
-//! evicted, so long executions no longer grow memory without bound.
+//! [`Solver::check`] serves the one-shot clients (witness replay, test
+//! generation, simplification): it pushes every constraint onto a fresh
+//! incremental solver and checks once.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::fm::{eliminate, substitute_equalities, FmResult, Substitution};
-use crate::intern::{Interner, TermId};
+use crate::incremental::IncrementalSolver;
 use crate::interval::{propagate, Interval, PropagationResult};
 use crate::linear::{atomize_cmp, LinAtom};
 use crate::model::{search_model, Model, SearchConfig, Value};
@@ -88,37 +69,14 @@ impl CheckOutcome {
     pub fn model(&self) -> Option<&Model> {
         self.model.as_ref()
     }
-
-    fn sat(model: Model) -> Self {
-        CheckOutcome {
-            result: SatResult::Sat,
-            model: Some(model),
-        }
-    }
-
-    fn unsat() -> Self {
-        CheckOutcome {
-            result: SatResult::Unsat,
-            model: None,
-        }
-    }
-
-    fn unknown() -> Self {
-        CheckOutcome {
-            result: SatResult::Unknown,
-            model: None,
-        }
-    }
 }
 
 /// Tuning knobs for the solver.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
-    /// Maximum number of DNF cases explored per query.
+    /// Maximum number of case-split leaves decided per query; `0`
+    /// answers `Unknown` for every non-empty query.
     pub case_budget: usize,
-    /// Maximum entries in the monolithic result cache; the least-recently
-    /// used quarter is evicted when full. `0` disables caching.
-    pub cache_capacity: usize,
     /// Maximum nodes in the incremental solver's prefix trie; beyond this
     /// the trie stops growing (checks still run, they just aren't
     /// memoized on new prefixes).
@@ -131,7 +89,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             case_budget: 256,
-            cache_capacity: 4096,
             prefix_trie_capacity: 1 << 16,
             search: SearchConfig::default(),
         }
@@ -140,8 +97,8 @@ impl Default for SolverConfig {
 
 impl SolverConfig {
     /// A stable fingerprint of every verdict-relevant knob (budgets and
-    /// search parameters; cache sizing is excluded — it changes *when*
-    /// answers are memoized, never what they are). Persistent-store
+    /// search parameters; the trie capacity is excluded — it changes
+    /// *when* answers are memoized, never what they are). Persistent-store
     /// consumers compare this before reusing another run's memoized
     /// verdicts: budgets flip `Unknown` results, so trie entries are only
     /// portable between identically-budgeted solvers. FNV-1a over the
@@ -166,15 +123,12 @@ impl SolverConfig {
 }
 
 /// Counters describing solver activity (reported by the benchmark harness
-/// alongside the paper's time/state metrics). The incremental tier's
-/// counters are folded in by
+/// alongside the paper's time/state metrics), as returned by
 /// [`crate::incremental::IncrementalSolver::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Total `check` calls.
     pub checks: u64,
-    /// Calls answered from the cache.
-    pub cache_hits: u64,
     /// Verdicts per kind.
     pub sat: u64,
     /// Provably-unsat verdicts.
@@ -187,12 +141,9 @@ pub struct SolverStats {
     pub fm_runs: u64,
     /// Model searches attempted.
     pub model_searches: u64,
-    /// Checks decided by the incremental pipeline (no monolithic re-solve).
+    /// Checks that ran the decision pipeline (model reuse, search,
+    /// Fourier–Motzkin, case split) rather than a memoized answer.
     pub incremental_checks: u64,
-    /// Checks the incremental tier could not decide (`Unknown`) and
-    /// handed to the monolithic pipeline. Each counts once here and not
-    /// in [`SolverStats::incremental_checks`].
-    pub fallback_checks: u64,
     /// Checks answered from the prefix trie (repeated-prefix re-checks).
     pub prefix_cache_hits: u64,
     /// Checks killed instantly because an ancestor frame was already UNSAT.
@@ -200,8 +151,6 @@ pub struct SolverStats {
     /// SAT answers obtained by re-validating the parent frame's model
     /// against the new literal (no search at all).
     pub model_reuse_hits: u64,
-    /// Entries evicted from the bounded monolithic result cache.
-    pub cache_evictions: u64,
     /// SAT verdicts recorded through
     /// [`crate::IncrementalSolver::push_verified`]: the caller supplied a
     /// model that was re-validated against the whole stack by direct
@@ -210,22 +159,18 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Adds every counter of `other` into `self` (used to fold the
-    /// incremental tier's counters into the fallback solver's).
+    /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &SolverStats) {
         self.checks += other.checks;
-        self.cache_hits += other.cache_hits;
         self.sat += other.sat;
         self.unsat += other.unsat;
         self.unknown += other.unknown;
         self.fm_runs += other.fm_runs;
         self.model_searches += other.model_searches;
         self.incremental_checks += other.incremental_checks;
-        self.fallback_checks += other.fallback_checks;
         self.prefix_cache_hits += other.prefix_cache_hits;
         self.prefix_unsat_kills += other.prefix_unsat_kills;
         self.model_reuse_hits += other.model_reuse_hits;
-        self.cache_evictions += other.cache_evictions;
         self.assumed_sat += other.assumed_sat;
     }
 
@@ -234,7 +179,6 @@ impl SolverStats {
     pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
         SolverStats {
             checks: self.checks.saturating_sub(earlier.checks),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             sat: self.sat.saturating_sub(earlier.sat),
             unsat: self.unsat.saturating_sub(earlier.unsat),
             unknown: self.unknown.saturating_sub(earlier.unknown),
@@ -243,7 +187,6 @@ impl SolverStats {
             incremental_checks: self
                 .incremental_checks
                 .saturating_sub(earlier.incremental_checks),
-            fallback_checks: self.fallback_checks.saturating_sub(earlier.fallback_checks),
             prefix_cache_hits: self
                 .prefix_cache_hits
                 .saturating_sub(earlier.prefix_cache_hits),
@@ -253,40 +196,24 @@ impl SolverStats {
             model_reuse_hits: self
                 .model_reuse_hits
                 .saturating_sub(earlier.model_reuse_hits),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
             assumed_sat: self.assumed_sat.saturating_sub(earlier.assumed_sat),
         }
     }
 
-    /// Checks that ran an actual decision pipeline (incremental or
-    /// monolithic fallback) — the cost metric the benches and the
-    /// profile exporter attribute to stages; cache/trie answers are free.
+    /// Checks that ran the decision pipeline — the cost metric the
+    /// benches and the profile exporter attribute to stages; trie answers
+    /// are free.
     pub fn pipeline_checks(&self) -> u64 {
-        self.incremental_checks + self.fallback_checks
-    }
-
-    /// Fraction of checks answered without running any decision pipeline
-    /// (result cache + prefix trie + prefix-unsat kills); `None` when no
-    /// checks ran.
-    pub fn hit_rate(&self) -> Option<f64> {
-        if self.checks == 0 {
-            return None;
-        }
-        let hits = self.cache_hits + self.prefix_cache_hits + self.prefix_unsat_kills;
-        Some(hits as f64 / self.checks as f64)
+        self.incremental_checks
     }
 }
 
-/// The monolithic constraint solver: a caching decision procedure for path
-/// conditions. See the [module documentation](self) for the pipeline and
-/// for its place in the two-tier architecture.
+/// The one-shot constraint solver: decides an arbitrary constraint vector
+/// by pushing it onto a fresh [`IncrementalSolver`]. See the [module
+/// documentation](self).
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     config: SolverConfig,
-    pub(crate) interner: Interner,
-    cache: HashMap<Vec<TermId>, (CheckOutcome, u64)>,
-    tick: u64,
-    stats: SolverStats,
 }
 
 impl Solver {
@@ -297,30 +224,7 @@ impl Solver {
 
     /// Creates a solver with explicit configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        Solver {
-            config,
-            ..Solver::default()
-        }
-    }
-
-    /// Activity counters accumulated so far.
-    pub fn stats(&self) -> &SolverStats {
-        &self.stats
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Clears the result cache (the statistics are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Number of cached results currently held.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        Solver { config }
     }
 
     /// Checks a path condition.
@@ -345,126 +249,23 @@ impl Solver {
     /// assert!(solver.check(&c).is_unsat());
     /// ```
     pub fn check(&mut self, constraints: &[SymExpr]) -> CheckOutcome {
-        self.stats.checks += 1;
-        let key: Vec<TermId> = constraints
-            .iter()
-            .map(|c| self.interner.intern(c))
-            .collect();
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((cached, stamp)) = self.cache.get_mut(&key) {
-            *stamp = tick;
-            self.stats.cache_hits += 1;
-            return cached.clone();
+        let mut solver = IncrementalSolver::with_config(self.config);
+        for constraint in constraints {
+            solver.push(constraint.clone());
         }
-        let outcome = self.check_uncached(constraints);
-        match outcome.result {
-            SatResult::Sat => self.stats.sat += 1,
-            SatResult::Unsat => self.stats.unsat += 1,
-            SatResult::Unknown => self.stats.unknown += 1,
-        }
-        self.cache_insert(key, outcome.clone());
-        outcome
-    }
-
-    /// Inserts into the bounded result cache, evicting the least-recently
-    /// used quarter when full.
-    fn cache_insert(&mut self, key: Vec<TermId>, outcome: CheckOutcome) {
-        let capacity = self.config.cache_capacity;
-        if capacity == 0 {
-            return;
-        }
-        if self.cache.len() >= capacity {
-            let before = self.cache.len();
-            // Keep the most recent ~3/4, leaving room for the new entry.
-            let keep = capacity.saturating_sub(capacity / 4 + 1);
-            if keep == 0 {
-                self.cache.clear();
-            } else {
-                let mut stamps: Vec<u64> = self.cache.values().map(|(_, s)| *s).collect();
-                stamps.sort_unstable();
-                let threshold = stamps[stamps.len() - keep];
-                self.cache.retain(|_, (_, stamp)| *stamp >= threshold);
-            }
-            self.stats.cache_evictions += (before - self.cache.len()) as u64;
-        }
-        self.cache.insert(key, (outcome, self.tick));
-    }
-
-    fn check_uncached(&mut self, constraints: &[SymExpr]) -> CheckOutcome {
-        // 1. Flatten conjunctions, normalize negations.
-        let mut conjuncts = Vec::new();
-        for c in constraints {
-            if !flatten_conjunct(&nnf(c, true), &mut conjuncts) {
-                return CheckOutcome::unsat();
-            }
-        }
-
-        // 2. Case split.
-        let Some(cases) = expand_cases(&conjuncts, self.config.case_budget) else {
-            return CheckOutcome::unknown();
-        };
-
-        // 3. Decide each case.
-        let mut any_unknown = false;
-        for case in &cases {
-            match self.solve_case(case, constraints) {
-                CaseVerdict::Sat(model) => return CheckOutcome::sat(model),
-                CaseVerdict::Unsat => {}
-                CaseVerdict::Unknown => any_unknown = true,
-            }
-        }
-        if any_unknown {
-            CheckOutcome::unknown()
-        } else {
-            CheckOutcome::unsat()
-        }
-    }
-
-    fn solve_case(&mut self, case: &[SymExpr], originals: &[SymExpr]) -> CaseVerdict {
-        let mut lin: Vec<LinAtom> = Vec::new();
-        let mut residuals: Vec<SymExpr> = Vec::new();
-        let mut fixed = Model::new();
-        let mut vars: BTreeMap<u32, SymVar> = BTreeMap::new();
-
-        for atom in case {
-            atom.collect_vars(&mut vars);
-            match classify(atom) {
-                Classified::True => {}
-                Classified::False => return CaseVerdict::Unsat,
-                Classified::BoolAssign(var, value) => match fixed.value(&var) {
-                    Some(Value::Bool(existing)) if existing != value => {
-                        return CaseVerdict::Unsat;
-                    }
-                    _ => fixed.set(var.id(), Value::Bool(value)),
-                },
-                Classified::Linear(atom) => lin.push(atom),
-                Classified::Residual(expr) => residuals.push(expr),
-            }
-        }
-
-        decide_conjunction(
-            &lin,
-            &residuals,
-            &vars,
-            &fixed,
-            &BTreeMap::new(),
-            originals,
-            &self.config,
-            &mut self.stats,
-        )
-        .0
+        let result = solver.check();
+        let model = (result == SatResult::Sat).then(|| solver.model().cloned().unwrap_or_default());
+        CheckOutcome { result, model }
     }
 }
 
 /// Decides one conjunction-only case: interval propagation (quick sound
 /// UNSAT), model search with verification against `originals` (sound
 /// SAT), and — only when no verified model was found — equality
-/// substitution + Fourier–Motzkin (sound UNSAT). This is the shared core
-/// of the monolithic per-case decision and of the incremental solver's
-/// per-frame check.
+/// substitution + Fourier–Motzkin (sound UNSAT). This is the incremental
+/// solver's per-frame check and the per-leaf check of its case split.
 ///
-/// `initial_bounds` seeds propagation (the incremental tier passes the
+/// `initial_bounds` seeds propagation (the incremental solver passes the
 /// parent frame's fixed point — sound, because the parent's bounds
 /// over-approximate the prefix's solutions and the current system only
 /// adds constraints). Returns the verdict together with the propagated
@@ -608,42 +409,10 @@ pub(crate) fn flatten_conjunct(expr: &SymExpr, out: &mut Vec<SymExpr>) -> bool {
     }
 }
 
-/// Expands disjunctions and integer disequalities into a bounded set of
-/// conjunction-only cases. Returns `None` if the budget is exceeded.
-fn expand_cases(conjuncts: &[SymExpr], budget: usize) -> Option<Vec<Vec<SymExpr>>> {
-    let mut cases: Vec<Vec<SymExpr>> = vec![Vec::new()];
-    for conjunct in conjuncts {
-        let alternatives = split_alternatives(conjunct);
-        let mut next = Vec::with_capacity(cases.len() * alternatives.len());
-        for case in &cases {
-            for alt in &alternatives {
-                let mut extended = case.clone();
-                let mut ok = true;
-                for atom in alt {
-                    ok &= flatten_conjunct(atom, &mut extended);
-                }
-                if ok {
-                    next.push(extended);
-                }
-                if next.len() > budget {
-                    return None;
-                }
-            }
-        }
-        cases = next;
-        if cases.is_empty() {
-            // Every alternative was literally false: represent one
-            // impossible case so the caller reports UNSAT.
-            return Some(vec![vec![SymExpr::boolean(false)]]);
-        }
-    }
-    Some(cases)
-}
-
 /// The alternative branches contributed by one conjunct: a disjunction
 /// splits, an integer `≠` becomes `<` or `>`, everything else is a single
 /// alternative.
-fn split_alternatives(expr: &SymExpr) -> Vec<Vec<SymExpr>> {
+pub(crate) fn split_alternatives(expr: &SymExpr) -> Vec<Vec<SymExpr>> {
     match expr {
         SymExpr::Binary {
             op: BinOp::Or,
@@ -885,54 +654,6 @@ mod tests {
         assert!(outcome.is_sat());
         let m = outcome.model().unwrap();
         assert_eq!(m.int_value(&x).unwrap() * m.int_value(&y).unwrap(), 6);
-    }
-
-    #[test]
-    fn cache_hits_are_counted() {
-        let (_, x, _, _) = setup();
-        let mut solver = Solver::new();
-        let constraints = [SymExpr::gt(SymExpr::var(&x), SymExpr::int(0))];
-        solver.check(&constraints);
-        solver.check(&constraints);
-        assert_eq!(solver.stats().checks, 2);
-        assert_eq!(solver.stats().cache_hits, 1);
-        solver.clear_cache();
-        solver.check(&constraints);
-        assert_eq!(solver.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn cache_is_bounded_with_lru_eviction() {
-        let (_, x, _, _) = setup();
-        let config = SolverConfig {
-            cache_capacity: 8,
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::with_config(config);
-        for i in 0..50 {
-            solver.check(&[SymExpr::gt(SymExpr::var(&x), SymExpr::int(i))]);
-        }
-        assert!(solver.cache_len() <= 8, "len = {}", solver.cache_len());
-        assert!(solver.stats().cache_evictions > 0);
-        // The most recent query is still resident.
-        let hits = solver.stats().cache_hits;
-        solver.check(&[SymExpr::gt(SymExpr::var(&x), SymExpr::int(49))]);
-        assert_eq!(solver.stats().cache_hits, hits + 1);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let (_, x, _, _) = setup();
-        let config = SolverConfig {
-            cache_capacity: 0,
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::with_config(config);
-        let constraints = [SymExpr::gt(SymExpr::var(&x), SymExpr::int(0))];
-        solver.check(&constraints);
-        solver.check(&constraints);
-        assert_eq!(solver.stats().cache_hits, 0);
-        assert_eq!(solver.cache_len(), 0);
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! Differential property tests: the incremental solver's push/pop/check
-//! must agree with the monolithic `Solver::check` on randomized path
-//! conditions, including pop-then-push divergent branches.
+//! against a brute-force oracle on randomized path conditions, including
+//! pop-then-push divergent branches.
 //!
-//! "Agree" means: whenever the monolithic verdict is definitive, the
-//! incremental verdict equals it. The incremental tier hands every path it
-//! cannot decide to the monolithic one, so it is never less decided; it
-//! may only be *more* decided (a definitive answer where the monolithic
-//! case split ran out of budget). In addition, every incremental `Sat`
-//! must come with a model that satisfies every pushed literal.
+//! The oracle enumerates every assignment in a small box (each integer in
+//! `[-BOX, BOX]`, each boolean both ways) and records the deepest prefix
+//! of the path that some point satisfies. The incremental verdict must
+//! agree with it in both directions the box can witness:
+//!
+//! * incremental `Unsat` ⇒ no point in the box satisfies the prefix;
+//! * a point in the box satisfies the prefix ⇒ incremental `Sat`.
+//!
+//! A prefix whose solutions all lie outside the box constrains neither
+//! direction. In addition, every incremental `Sat` must come with a model
+//! that satisfies every pushed literal.
 
+use dise_solver::model::Value;
 use dise_solver::sym::BinOp;
-use dise_solver::{IncrementalSolver, SatResult, Solver, SymExpr, SymTy, SymVar, VarPool};
+use dise_solver::{IncrementalSolver, Model, SatResult, SymExpr, SymTy, SymVar, VarPool};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 stream for literal construction (the proptest
@@ -78,9 +84,8 @@ fn comparison(g: &mut Gen, f: &Fixture) -> SymExpr {
     SymExpr::binary(op, lhs, rhs)
 }
 
-/// One branch literal, occasionally disjunctive/disequal (residual atoms
-/// for the incremental tier, case splits for the monolithic one) or
-/// negated.
+/// One branch literal, occasionally disjunctive/disequal (residual atoms,
+/// split only when the search leaves a path undecided) or negated.
 fn literal(g: &mut Gen, f: &Fixture) -> SymExpr {
     match g.below(10) {
         0 => {
@@ -113,8 +118,41 @@ fn symbolic_literal(g: &mut Gen, f: &Fixture) -> SymExpr {
     }
 }
 
-fn agreement(incremental: SatResult, monolithic: SatResult) -> bool {
-    monolithic == SatResult::Unknown || incremental == monolithic
+/// Half-width of the oracle's box: literal constants lie in `[-10, 10]`.
+const BOX: i64 = 12;
+
+/// The length of the longest prefix of `path` that some point of the box
+/// satisfies (0 when not even the first literal is satisfiable there).
+fn witnessed_prefix(f: &Fixture, path: &[SymExpr]) -> usize {
+    let mut point = Model::new();
+    let mut deepest = 0;
+    for code in 0..(2 * BOX + 1).pow(3) * 4 {
+        let mut rest = code;
+        for x in &f.ints {
+            point.set(x.id(), Value::Int(rest % (2 * BOX + 1) - BOX));
+            rest /= 2 * BOX + 1;
+        }
+        for b in &f.bools {
+            point.set(b.id(), Value::Bool(rest % 2 == 1));
+            rest /= 2;
+        }
+        let depth = path.iter().take_while(|lit| point.satisfies(lit)).count();
+        deepest = deepest.max(depth);
+        if deepest == path.len() {
+            break;
+        }
+    }
+    deepest
+}
+
+/// Checks the incremental verdict for the prefix of length `len` against
+/// the oracle's deepest witnessed prefix.
+fn agrees(verdict: SatResult, len: usize, witnessed: usize) -> bool {
+    match verdict {
+        SatResult::Unsat => witnessed < len,
+        _ if witnessed >= len => verdict == SatResult::Sat,
+        _ => true,
+    }
 }
 
 proptest! {
@@ -126,16 +164,15 @@ proptest! {
         let mut g = Gen(seed | 1);
         let depth = 2 + g.below(9) as usize;
         let lits: Vec<SymExpr> = (0..depth).map(|_| symbolic_literal(&mut g, &f)).collect();
+        let witnessed = witnessed_prefix(&f, &lits);
 
         let mut incremental = IncrementalSolver::new();
         for d in 0..lits.len() {
             incremental.push(lits[d].clone());
             let iv = incremental.check();
-            // A fresh monolithic solver per prefix: no cache assistance.
-            let mv = Solver::new().check(&lits[..=d]).result();
             prop_assert!(
-                agreement(iv, mv),
-                "prefix {:?}: incremental {iv:?} vs monolithic {mv:?}",
+                agrees(iv, d + 1, witnessed),
+                "prefix {:?}: incremental {iv:?}, box witnesses {witnessed} literals",
                 &lits[..=d].iter().map(|l| l.to_string()).collect::<Vec<_>>()
             );
             if iv == SatResult::Sat {
@@ -176,18 +213,20 @@ proptest! {
             } else {
                 symbolic_literal(&mut g, &f)
             };
-            path.push(lit.clone());
-            incremental.push(lit);
+            path.push(lit);
+        }
+        let witnessed = witnessed_prefix(&f, &path);
+        for len in keep + 1..=path.len() {
+            incremental.push(path[len - 1].clone());
             let iv = incremental.check();
-            let mv = Solver::new().check(&path).result();
             prop_assert!(
-                agreement(iv, mv),
-                "divergent path {:?}: incremental {iv:?} vs monolithic {mv:?}",
-                path.iter().map(|l| l.to_string()).collect::<Vec<_>>()
+                agrees(iv, len, witnessed),
+                "divergent path {:?}: incremental {iv:?}, box witnesses {witnessed} literals",
+                path[..len].iter().map(|l| l.to_string()).collect::<Vec<_>>()
             );
             if iv == SatResult::Sat {
                 let model = incremental.model().expect("SAT carries a model");
-                prop_assert!(path.iter().all(|l| model.satisfies(l)));
+                prop_assert!(path[..len].iter().all(|l| model.satisfies(l)));
             }
         }
     }

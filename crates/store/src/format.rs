@@ -22,8 +22,11 @@ use crate::error::StoreError;
 pub const MAGIC: [u8; 8] = *b"DISESTOR";
 
 /// Current format version. Bump on any payload layout change — old
-/// readers reject new files (and vice versa) instead of misparsing them.
-pub const FORMAT_VERSION: u32 = 4;
+/// readers reject new files (and vice versa) instead of misparsing them —
+/// and whenever the solver could decide a persisted prefix differently:
+/// version 5 retired the monolithic fallback, so a version-4 trie may hold
+/// a verdict or model the case split would not produce.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Header length in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;

@@ -1090,10 +1090,12 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected() {
-        // A newer writer's file, and a file of the previous layout (3,
-        // which still carried the sweep feedback and heuristic weights):
-        // both are typed errors, and the warm path degrades to cold.
-        for version in [FORMAT_VERSION + 1, 3] {
+        // A newer writer's file, a file whose trie came from the
+        // monolithic-fallback solver (4), and a file of the previous layout
+        // (3, which still carried the sweep feedback and heuristic
+        // weights): all are typed errors, and the warm path degrades to
+        // cold.
+        for version in [FORMAT_VERSION + 1, 4, 3] {
             let (store, dir) = temp_store();
             store.save(&sample_entry()).unwrap();
             let path = store.entry_path("update");

@@ -13,6 +13,7 @@ use dise::core::dise::{run_dise, run_full_on, DiseConfig};
 use dise::evolution::diffsum::{classify_changes, DiffSumConfig, PathClass};
 use dise::ir::parse_program;
 
+use dise::solver::sym::BinOp;
 use dise::solver::{SatResult, Solver, SolverConfig, SymExpr, SymTy, VarPool};
 use dise::symexec::ExecConfig;
 
@@ -145,27 +146,35 @@ fn starved_equivalence_checks_degrade_to_undecided_not_preserving() {
 
 #[test]
 fn tiny_but_nonzero_budget_still_decides_trivial_queries() {
-    // A budget of one case decides single-atom queries but gives up on
-    // disjunctive splits — the degradation is gradual, not all-or-nothing.
-    let config = SolverConfig {
-        case_budget: 1,
-        ..SolverConfig::default()
+    // A budget of one case decides single-atom queries but gives up on a
+    // two-way split — the degradation is gradual, not all-or-nothing.
+    let tiny = |case_budget| {
+        Solver::with_config(SolverConfig {
+            case_budget,
+            ..SolverConfig::default()
+        })
     };
-    let mut solver = Solver::with_config(config);
     let mut pool = VarPool::new();
     let x = pool.fresh("X", SymTy::Int);
     let atom = SymExpr::gt(SymExpr::var(&x), SymExpr::int(0));
     assert_eq!(
-        solver.check(std::slice::from_ref(&atom)).result(),
+        tiny(1).check(std::slice::from_ref(&atom)).result(),
         SatResult::Sat
     );
-    // `x > 0 || x < -10` splits into two cases: over budget.
-    let disjunction = SymExpr::or(
-        SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)),
-        SymExpr::lt(SymExpr::var(&x), SymExpr::int(-10)),
+    // `x >= 0 && x <= 0 && x != 0`: the search and Fourier–Motzkin leave
+    // it undecided, and only splitting `x != 0` into `x < 0` and `x > 0`
+    // refutes it — two leaves, over a budget of one.
+    let pinned_disequality = [
+        SymExpr::ge(SymExpr::var(&x), SymExpr::int(0)),
+        SymExpr::le(SymExpr::var(&x), SymExpr::int(0)),
+        SymExpr::binary(BinOp::Ne, SymExpr::var(&x), SymExpr::int(0)),
+    ];
+    assert_eq!(
+        tiny(1).check(&pinned_disequality).result(),
+        SatResult::Unknown
     );
     assert_eq!(
-        solver.check(std::slice::from_ref(&disjunction)).result(),
-        SatResult::Unknown
+        tiny(2).check(&pinned_disequality).result(),
+        SatResult::Unsat
     );
 }

@@ -216,10 +216,7 @@ fn three_version_chain_matches_independent_pairwise_runs() {
 
 #[test]
 fn chained_hop_never_solves_more_than_an_independent_run() {
-    let solver_calls = |r: &DiseResult| {
-        let s = &r.summary.stats().solver;
-        s.incremental_checks + s.fallback_checks
-    };
+    let solver_calls = |r: &DiseResult| r.summary.stats().solver.pipeline_checks();
     for (artifact, from, to) in [(wbs::artifact(), "v2", "v4"), (oae::artifact(), "v2", "v4")] {
         let a = artifact.version(from).unwrap().program.clone();
         let b = artifact.version(to).unwrap().program.clone();

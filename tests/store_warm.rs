@@ -60,8 +60,7 @@ fn assert_identical(context: &str, cold: &SymbolicSummary, warm: &SymbolicSummar
 }
 
 fn solver_calls(result: &DiseResult) -> u64 {
-    let solver = &result.summary.stats().solver;
-    solver.incremental_checks + solver.fallback_checks
+    result.summary.stats().solver.pipeline_checks()
 }
 
 fn evolution_pairs() -> Vec<(String, &'static str, Program, Program)> {
