@@ -12,7 +12,9 @@
 //! * **The session cache** ([`cache`]): rendered responses keyed by
 //!   `(method, proc, version fingerprints, solver key)` with
 //!   byte-budgeted LRU eviction. A warm hit answers without touching
-//!   the pipeline at all — zero solver calls, zero exploration.
+//!   the pipeline at all — zero solver calls, zero exploration — and a
+//!   byte-identical repeat is found by its request bytes before any
+//!   source is parsed or fingerprinted.
 //! * **Request coalescing**: identical in-flight requests admit one
 //!   leader; followers block on the leader's flight and are answered
 //!   with the same shared bytes (counted as `coalesced`). A thundering
@@ -43,7 +45,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cache::{ByteLruCache, CachedBody, SessionKey};
+use cache::{ByteLruCache, CachedBody, RequestBytes, SessionKey};
 use dise_core::dise::{DiseConfig, DiseResult};
 use dise_core::metrics::result_registry;
 use dise_core::report::verdict_pc_block;
@@ -93,6 +95,9 @@ pub struct MetricsSnapshot {
     pub requests: u64,
     /// Analysis requests answered from the session cache.
     pub cache_hits: u64,
+    /// Analysis requests that missed the byte probe and so were parsed
+    /// and fingerprinted.
+    pub fingerprinted: u64,
     /// Analysis requests coalesced onto another request's in-flight
     /// exploration.
     pub coalesced: u64,
@@ -116,6 +121,7 @@ pub struct MetricsSnapshot {
 struct Counters {
     requests: AtomicU64,
     cache_hits: AtomicU64,
+    fingerprinted: AtomicU64,
     coalesced: AtomicU64,
     explorations: AtomicU64,
     errors: AtomicU64,
@@ -198,6 +204,7 @@ impl Server {
         MetricsSnapshot {
             requests: self.counters.requests.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
+            fingerprinted: self.counters.fingerprinted.load(Ordering::Relaxed),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
             explorations: self.counters.explorations.load(Ordering::Relaxed),
             evictions: cache.evictions(),
@@ -243,12 +250,13 @@ impl Server {
     fn handle_status(&self) -> String {
         let m = self.metrics();
         format!(
-            "\"method\":\"status\",\"requests\":{},\"cache_hits\":{},\"coalesced\":{},\
-             \"explorations\":{},\"evictions\":{},\"errors\":{},\
+            "\"method\":\"status\",\"requests\":{},\"cache_hits\":{},\"fingerprinted\":{},\
+             \"coalesced\":{},\"explorations\":{},\"evictions\":{},\"errors\":{},\
              \"pipeline_solver_calls\":{},\
              \"cache_entries\":{},\"cache_bytes\":{},\"cache_budget\":{}",
             m.requests,
             m.cache_hits,
+            m.fingerprinted,
             m.coalesced,
             m.explorations,
             m.evictions,
@@ -304,13 +312,14 @@ impl Server {
     }
 
     /// Runs `compute` as the leader for `key`: publishes the result to
-    /// the cache, wakes followers, and clears the flight — in that
-    /// order, so no moment exists where the result is in neither
-    /// structure. Panics in the pipeline are converted into an error
+    /// the cache (with `alias` as the entry's byte alias), wakes
+    /// followers, and clears the flight — in that order, so no moment
+    /// exists where the result is in neither structure. Panics in the pipeline are converted into an error
     /// result so followers can never deadlock.
     fn lead(
         &self,
         key: &SessionKey,
+        alias: &RequestBytes,
         flight: &Flight,
         compute: impl FnOnce() -> Result<CachedBody, String> + std::panic::UnwindSafe,
     ) -> Result<Arc<CachedBody>, String> {
@@ -329,7 +338,7 @@ impl Server {
             self.cache
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .insert(key.clone(), Arc::clone(body));
+                .insert_aliased(key.clone(), Arc::clone(body), Some(alias.clone()));
         }
         flight.complete(outcome.clone());
         self.inflight
@@ -341,15 +350,32 @@ impl Server {
 
     fn handle_analysis(&self, request: &Request) -> Result<String, (i64, String)> {
         let spec = AnalysisSpec::from_request(request)?;
-        let key = spec.key()?;
-        let body = match self.admit(&key) {
-            Admission::Hit(body) => Ok(body),
-            Admission::Follow(flight) => flight.wait(),
-            Admission::Lead(flight) => self.lead(&key, &flight, {
-                let spec = &spec;
-                let request_id = request.request_id.as_str();
-                std::panic::AssertUnwindSafe(move || self.compute(spec, request_id))
-            }),
+        let probed = self
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .probe(&spec.bytes);
+        let body = match probed {
+            Some(body) => {
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                Ok(body)
+            }
+            None => {
+                self.counters.fingerprinted.fetch_add(1, Ordering::Relaxed);
+                let versions = spec.load()?;
+                let key = spec.key(&versions)?;
+                match self.admit(&key) {
+                    Admission::Hit(body) => Ok(body),
+                    Admission::Follow(flight) => flight.wait(),
+                    Admission::Lead(flight) => self.lead(&key, &spec.bytes, &flight, {
+                        let (spec, versions) = (&spec, &versions);
+                        let request_id = request.request_id.as_str();
+                        std::panic::AssertUnwindSafe(move || {
+                            self.compute(spec, versions, request_id)
+                        })
+                    }),
+                }
+            }
         }
         .map_err(|message| (ANALYSIS_ERROR, message))?;
         Ok(format!(
@@ -360,7 +386,12 @@ impl Server {
     }
 
     /// The leader computation for one analysis request.
-    fn compute(&self, spec: &AnalysisSpec, request_id: &str) -> Result<CachedBody, String> {
+    fn compute(
+        &self,
+        spec: &AnalysisSpec,
+        versions: &[Program],
+        request_id: &str,
+    ) -> Result<CachedBody, String> {
         let trace = self.config.trace_dir.as_ref().map(|dir| {
             let tracer = Arc::new(Tracer::new());
             let root = tracer.begin(&format!("request.{request_id}"), None);
@@ -374,7 +405,7 @@ impl Server {
             config.exec.tracer = Some(TraceHandle::new(Arc::clone(tracer)).child(root.id()));
         }
 
-        let outcome = spec.run(config, request_id)?;
+        let outcome = spec.run(versions, config, request_id)?;
         self.counters.explorations.fetch_add(1, Ordering::Relaxed);
         self.counters
             .pipeline_solver_calls
@@ -393,7 +424,7 @@ impl Server {
             let log = dise_trace::event_log(
                 &tracer.events(),
                 &outcome.scopes,
-                &format!("dise serve {} {request_id}", spec.method),
+                &format!("dise serve {} {request_id}", spec.bytes.method),
             );
             let file = dir.join(format!("{}.jsonl", sanitize(request_id)));
             if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&file, log))
@@ -425,12 +456,12 @@ fn sanitize(request_id: &str) -> String {
         .collect()
 }
 
-/// A validated analysis request: the method, the parsed program
-/// versions, and the target procedure.
+/// A validated analysis request, not yet parsed: its [`RequestBytes`]
+/// (method, procedure, every version's source, solver key) and where
+/// each source came from, for error messages.
 struct AnalysisSpec {
-    method: &'static str,
-    versions: Vec<Program>,
-    proc_name: String,
+    bytes: RequestBytes,
+    origins: Vec<String>,
 }
 
 /// What a leader run produced: the cacheable body plus server-side
@@ -506,71 +537,83 @@ impl AnalysisSpec {
                 sources.push(source);
             }
         }
-        let mut versions = Vec::new();
-        for (origin, source) in &sources {
-            versions.push(load_program(origin, source).map_err(invalid)?);
-        }
+        let (origins, sources) = sources.into_iter().unzip();
         Ok(AnalysisSpec {
-            method,
-            versions,
-            proc_name,
+            bytes: RequestBytes {
+                method,
+                proc: proc_name,
+                sources,
+                solver_key: dise_symexec::ExecConfig::default().solver.cache_key(),
+            },
+            origins,
         })
+    }
+
+    /// Parses and type-checks every version.
+    fn load(&self) -> Result<Vec<Program>, (i64, String)> {
+        self.origins
+            .iter()
+            .zip(&self.bytes.sources)
+            .map(|(origin, source)| load_program(origin, source).map_err(|e| (INVALID_PARAMS, e)))
+            .collect()
     }
 
     /// The session-cache key: method + procedure + every version's
     /// content fingerprint + the solver configuration key.
-    fn key(&self) -> Result<SessionKey, (i64, String)> {
-        let mut fingerprints = Vec::with_capacity(self.versions.len());
-        for version in &self.versions {
+    fn key(&self, versions: &[Program]) -> Result<SessionKey, (i64, String)> {
+        let mut fingerprints = Vec::with_capacity(versions.len());
+        for version in versions {
             fingerprints.push(
-                dise_diff::proc_fingerprint(version, &self.proc_name)
+                dise_diff::proc_fingerprint(version, &self.bytes.proc)
                     .map_err(|e| (INVALID_PARAMS, e.to_string()))?,
             );
         }
         Ok(SessionKey {
-            method: self.method,
-            proc: self.proc_name.clone(),
+            method: self.bytes.method,
+            proc: self.bytes.proc.clone(),
             fingerprints,
-            solver_key: dise_symexec::ExecConfig::default().solver.cache_key(),
+            solver_key: self.bytes.solver_key,
         })
     }
 
-    fn run(&self, config: DiseConfig, request_id: &str) -> Result<RunOutcome, String> {
-        match self.method {
-            "analyze" => self.run_analyze(config, request_id),
-            "evolve" => self.run_evolve(config, request_id),
-            "chain" => self.run_chain(config, request_id),
+    fn run(
+        &self,
+        versions: &[Program],
+        config: DiseConfig,
+        request_id: &str,
+    ) -> Result<RunOutcome, String> {
+        let session = AnalysisSession::open(&versions[0], &versions[1], &self.bytes.proc, config)
+            .map_err(|e| e.to_string())?;
+        match self.bytes.method {
+            "analyze" => self.run_analyze(session, request_id),
+            "evolve" => self.run_evolve(session, request_id),
+            "chain" => self.run_chain(session, versions, request_id),
             _ => unreachable!(),
         }
     }
 
-    fn run_analyze(&self, config: DiseConfig, request_id: &str) -> Result<RunOutcome, String> {
-        let mut session = AnalysisSession::open(
-            &self.versions[0],
-            &self.versions[1],
-            &self.proc_name,
-            config,
-        )
-        .map_err(|e| e.to_string())?;
+    fn run_analyze(
+        &self,
+        mut session: AnalysisSession,
+        request_id: &str,
+    ) -> Result<RunOutcome, String> {
         let (body, outcome) = hop_body(&mut session, request_id, "")?;
         Ok(RunOutcome {
             body: format!(
                 "\"method\":\"analyze\",\"proc\":{},{body}",
-                quote(&self.proc_name)
+                quote(&self.bytes.proc)
             ),
             ..outcome
         })
     }
 
-    fn run_chain(&self, config: DiseConfig, request_id: &str) -> Result<RunOutcome, String> {
-        let mut session = AnalysisSession::open(
-            &self.versions[0],
-            &self.versions[1],
-            &self.proc_name,
-            config,
-        )
-        .map_err(|e| e.to_string())?;
-        let hops = self.versions.len() - 1;
+    fn run_chain(
+        &self,
+        mut session: AnalysisSession,
+        versions: &[Program],
+        request_id: &str,
+    ) -> Result<RunOutcome, String> {
+        let hops = versions.len() - 1;
         let mut rendered = Vec::new();
         let mut pipeline_solver_calls = 0;
         let mut warnings = Vec::new();
@@ -583,14 +626,14 @@ impl AnalysisSpec {
             scopes.extend(outcome.scopes);
             if hop + 2 <= hops {
                 session = session
-                    .advance(&self.versions[hop + 2])
+                    .advance(&versions[hop + 2])
                     .map_err(|e| e.to_string())?;
             }
         }
         Ok(RunOutcome {
             body: format!(
                 "\"method\":\"chain\",\"proc\":{},\"hops\":[{}]",
-                quote(&self.proc_name),
+                quote(&self.bytes.proc),
                 rendered.join(",")
             ),
             pipeline_solver_calls,
@@ -599,14 +642,11 @@ impl AnalysisSpec {
         })
     }
 
-    fn run_evolve(&self, config: DiseConfig, request_id: &str) -> Result<RunOutcome, String> {
-        let mut session = AnalysisSession::open(
-            &self.versions[0],
-            &self.versions[1],
-            &self.proc_name,
-            config,
-        )
-        .map_err(|e| e.to_string())?;
+    fn run_evolve(
+        &self,
+        mut session: AnalysisSession,
+        request_id: &str,
+    ) -> Result<RunOutcome, String> {
         // The four applications off one session, rendered by the same
         // functions `dise evolve` prints through — output is
         // byte-identical to that one-shot run by construction.
@@ -648,7 +688,7 @@ impl AnalysisSpec {
         Ok(RunOutcome {
             body: format!(
                 "\"method\":\"evolve\",\"proc\":{},\"pc_count\":{},\"output\":{},\"stats\":[{records}]",
-                quote(&self.proc_name),
+                quote(&self.bytes.proc),
                 result.summary.pc_count(),
                 quote(&output),
             ),

@@ -281,3 +281,141 @@ fn tcp_front_end_serves_and_shuts_down() {
         .expect("front end joins")
         .expect("tcp loop exits cleanly");
 }
+
+/// A fig2 `analyze` request line with the given inline sources.
+fn analyze_line(id: u64, base: &str, modified: &str) -> String {
+    format!(
+        "{{\"jsonrpc\":\"2.0\",\"id\":{id},\"method\":\"analyze\",\"params\":{{\
+         \"proc\":\"update\",\"base\":{},\"modified\":{}}}}}",
+        quote(base),
+        quote(modified),
+    )
+}
+
+fn fig2_sources() -> (String, String) {
+    (
+        dise_ir::pretty::pretty_program(&dise_artifacts::figures::fig2_base()),
+        dise_ir::pretty::pretty_program(&dise_artifacts::figures::fig2_modified()),
+    )
+}
+
+fn output_of(response: &str) -> String {
+    let value = parse(response).unwrap_or_else(|e| panic!("response parses: {e}"));
+    result_field(&value, "output")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_else(|| panic!("no output in {response}"))
+        .to_string()
+}
+
+#[test]
+fn byte_identical_repeats_skip_the_fingerprint() {
+    let server = server(None);
+    let line = fig2_analyze_line(1, "same");
+    let first = server.handle_line(&line);
+    assert_eq!(server.handle_line(&line), first);
+    assert_eq!(server.handle_line(&line), first);
+    let metrics = server.metrics();
+    assert_eq!(metrics.fingerprinted, 1, "only the first request parses");
+    assert_eq!(metrics.cache_hits, 2);
+    assert_eq!(metrics.explorations, 1);
+    let status = server.handle_line(r#"{"jsonrpc":"2.0","id":2,"method":"status"}"#);
+    assert!(status.contains("\"fingerprinted\":1,"), "status: {status}");
+}
+
+#[test]
+fn a_whitespace_only_edit_hits_through_the_fingerprint() {
+    let server = server(None);
+    let (base, modified) = fig2_sources();
+    let first = server.handle_line(&analyze_line(1, &base, &modified));
+    let reformatted = modified.replace('\n', " \n\n\t");
+    assert_ne!(reformatted, modified);
+    let second = server.handle_line(&analyze_line(2, &base, &reformatted));
+    let metrics = server.metrics();
+    assert_eq!(
+        metrics.fingerprinted, 2,
+        "the reformatted bytes miss the probe"
+    );
+    assert_eq!(metrics.cache_hits, 1, "but its fingerprint hits");
+    assert_eq!(metrics.explorations, 1);
+    assert_eq!(output_of(&second), output_of(&first));
+}
+
+#[test]
+fn a_changed_source_file_misses_the_probe() {
+    let dir = fresh_dir("paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (base, modified) = fig2_sources();
+    let (base_path, mod_path) = (dir.join("base.mj"), dir.join("mod.mj"));
+    std::fs::write(&base_path, &base).unwrap();
+    std::fs::write(&mod_path, &modified).unwrap();
+    let line = format!(
+        "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"analyze\",\"params\":{{\
+         \"proc\":\"update\",\"base_path\":{},\"mod_path\":{}}}}}",
+        quote(&base_path.display().to_string()),
+        quote(&mod_path.display().to_string()),
+    );
+    let server = server(None);
+    let first = server.handle_line(&line);
+    // Same paths, new content: the file is read again and misses.
+    std::fs::write(&mod_path, &base).unwrap();
+    let second = server.handle_line(&line);
+    let metrics = server.metrics();
+    assert_eq!(metrics.cache_hits, 0, "a changed file is not a hit");
+    assert_eq!(metrics.fingerprinted, 2);
+    assert_eq!(metrics.explorations, 2);
+    assert_ne!(output_of(&second), output_of(&first));
+    // Unchanged since the last request: a byte hit.
+    assert_eq!(server.handle_line(&line), second);
+    assert_eq!(server.metrics().fingerprinted, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_invalid_source_fails_every_time() {
+    let server = server(None);
+    let (base, _) = fig2_sources();
+    let line = analyze_line(1, &base, "proc update( {");
+    let first = server.handle_line(&line);
+    let value = parse(&first).unwrap();
+    let error = value
+        .get("error")
+        .unwrap_or_else(|| panic!("an error: {first}"));
+    assert_eq!(
+        error.get("code"),
+        Some(&JsonValue::Int(-32602)),
+        "invalid params: {first}"
+    );
+    let message = error.get("message").and_then(JsonValue::as_str).unwrap();
+    assert!(message.starts_with("modified: "), "origin named: {message}");
+    assert_eq!(server.handle_line(&line), first, "the same error again");
+    let metrics = server.metrics();
+    assert_eq!(metrics.errors, 2);
+    assert_eq!(metrics.fingerprinted, 2);
+    assert_eq!(metrics.cache_hits, 0);
+    assert_eq!(metrics.cache_entries, 0);
+}
+
+#[test]
+fn evict_by_proc_drops_the_byte_aliases() {
+    let server = server(None);
+    let line = fig2_analyze_line(1, "alias");
+    server.handle_line(&line);
+    let other = server
+        .handle_line(r#"{"jsonrpc":"2.0","id":2,"method":"evict","params":{"proc":"other"}}"#);
+    assert!(other.contains("\"evicted\":0"), "got: {other}");
+    server.handle_line(&line);
+    assert_eq!(
+        server.metrics().fingerprinted,
+        1,
+        "another proc's evict keeps it"
+    );
+    let evicted = server
+        .handle_line(r#"{"jsonrpc":"2.0","id":3,"method":"evict","params":{"proc":"update"}}"#);
+    assert!(evicted.contains("\"evicted\":1"), "got: {evicted}");
+    assert_eq!(server.metrics().cache_bytes, 0, "alias bytes freed too");
+    server.handle_line(&line);
+    let metrics = server.metrics();
+    assert_eq!(metrics.fingerprinted, 2, "the alias went with its entry");
+    assert_eq!(metrics.explorations, 2);
+    assert_eq!(metrics.cache_hits, 1);
+}

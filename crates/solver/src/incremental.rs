@@ -1203,7 +1203,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_inner_and_incremental_tiers() {
+    fn stats_count_every_check_once() {
         let (_, x, _, _) = setup();
         let mut solver = IncrementalSolver::new();
         solver.push(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)));

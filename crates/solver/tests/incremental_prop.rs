@@ -159,7 +159,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn incremental_agrees_with_monolithic_along_random_paths(seed in any::<u64>()) {
+    fn incremental_agrees_with_box_oracle_along_random_paths(seed in any::<u64>()) {
         let (_pool, f) = fixture();
         let mut g = Gen(seed | 1);
         let depth = 2 + g.below(9) as usize;

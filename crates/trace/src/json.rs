@@ -112,33 +112,34 @@ pub fn format_f64(v: f64) -> String {
 /// Parses one complete JSON document; trailing non-whitespace is an
 /// error. Errors report the byte offset they were detected at.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -151,7 +152,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -261,17 +262,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run up to the next quote, backslash or
+                    // control byte as one slice: all three are ASCII, so
+                    // the run ends on a char boundary of the `&str`.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes().get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -318,8 +323,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8".to_string())?;
+        let text = &self.text[start..self.pos];
         if exact {
             if let Some(digits) = text.strip_prefix('-') {
                 if !digits.is_empty() {
@@ -369,6 +373,46 @@ mod tests {
         let quoted = quote(original);
         let v = parse(&quoted).unwrap();
         assert_eq!(v.as_str(), Some(original));
+    }
+
+    #[test]
+    fn multibyte_scalars_next_to_escapes_round_trip() {
+        // 2-, 3- and 4-byte UTF-8 scalars, each followed by an escape.
+        let original = "é\n≤\"😀\\";
+        let quoted = quote(original);
+        assert_eq!(quoted, r#""é\n≤\"😀\\""#);
+        assert_eq!(parse(&quoted).unwrap().as_str(), Some(original));
+        let in_object = format!("{{{}:[{}]}}", quote(original), quote(original));
+        let v = parse(&in_object).unwrap();
+        assert_eq!(
+            v.get(original).unwrap().as_array().unwrap()[0].as_str(),
+            Some(original)
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_and_lone_surrogates_are_rejected() {
+        assert_eq!(
+            parse("\"ab\u{1}\"").unwrap_err(),
+            "raw control character at byte 3"
+        );
+        // The offset counts bytes, not chars: `é` is two.
+        assert_eq!(
+            parse("\"é\u{1}\"").unwrap_err(),
+            "raw control character at byte 3"
+        );
+        assert_eq!(
+            parse(r#""\ud800""#).unwrap_err(),
+            "invalid \\u escape at byte 7"
+        );
+        assert_eq!(parse("\"abc").unwrap_err(), "unterminated string");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_round_trips() {
+        let original: String = "ab\"c≤\n".chars().cycle().take(1 << 20).collect();
+        let quoted = quote(&original);
+        assert_eq!(parse(&quoted).unwrap().as_str(), Some(original.as_str()));
     }
 
     #[test]

@@ -2,11 +2,14 @@
 """CI driver for the `dise serve` job.
 
 Pipes a mixed batch of concurrent requests (every pair of a `dise gen`
-corpus, each sent twice, shuffled deterministically) into one resident
+corpus, each sent twice, plus a whitespace-reformatted copy of one
+pair's modified file, shuffled deterministically) into one resident
 server, then byte-diffs each `analyze` response's `output` member
 against the one-shot CLI's verdict residue
 (`dise run … --stats json | grep -v '^{'`) and checks that duplicate
 requests got byte-identical responses from the cache/coalescing layer.
+After the batch settles, one more byte-identical repeat must be
+answered from its request bytes alone (the `fingerprinted` counter).
 
 The contention leg reruns the batch against a server sharing a `--store`
 directory with concurrent one-shot CLI runs of the same pairs: the
@@ -48,10 +51,11 @@ def write_requests(stdin, requests):
     stdin.flush()
 
 
-def run_server(dise, requests, extra_args=(), last=None):
+def run_server(dise, requests, extra_args=(), tail=()):
     """Sends `requests` to one `dise serve` process and reads until every
-    one has answered; only then sends `last` (if given), so it observes
-    the batch settled, and closes stdin. Returns {id: [(line, value)]}."""
+    one has answered; only then sends each request of `tail` in turn,
+    each after the one before it answered, so it observes everything
+    before it settled, and closes stdin. Returns {id: [(line, value)]}."""
     with tempfile.TemporaryFile(mode="w+") as stderr:
         proc = subprocess.Popen(
             [dise, "serve", *extra_args],
@@ -73,16 +77,22 @@ def run_server(dise, requests, extra_args=(), last=None):
                 fail(f"unparseable response line {line!r}: {e}")
             responses.setdefault(value.get("id"), []).append((line.rstrip("\n"), value))
 
-        pending = {r["id"] for r in requests}
-        while pending:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            record(line)
-            pending.difference_update(responses)
+        def drain(pending):
+            while pending:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                record(line)
+                pending.difference_update(responses)
+            return not pending
+
+        settled = drain({r["id"] for r in requests})
         writer.join()
-        if last is not None and not pending:
-            write_requests(proc.stdin, [last])
+        for request in tail:
+            if not settled:
+                break
+            write_requests(proc.stdin, [request])
+            settled = drain({request["id"]})
         proc.stdin.close()
         for line in proc.stdout:
             record(line)
@@ -90,6 +100,29 @@ def run_server(dise, requests, extra_args=(), last=None):
             stderr.seek(0)
             fail(f"serve exited with {proc.returncode}: {stderr.read()}")
     return responses
+
+
+def reformatted_copy(source_path, out_dir):
+    """A whitespace-only reformatting of `source_path` in `out_dir`:
+    same program, different bytes."""
+    text = source_path.read_text()
+    copy = Path(out_dir) / ("reformatted-" + source_path.name)
+    copy.write_text("\n" + text.replace("\n", " \n\n"))
+    return copy
+
+
+def analyze_request(request_id, tag, proc_name, base, mod):
+    return {
+        "jsonrpc": "2.0",
+        "id": request_id,
+        "method": "analyze",
+        "params": {
+            "request_id": tag,
+            "proc": proc_name,
+            "base_path": str(base),
+            "mod_path": str(mod),
+        },
+    }
 
 
 def main():
@@ -111,32 +144,42 @@ def main():
     for i, (base, mod) in enumerate(pairs):
         for dup in range(2):  # every pair twice: the repeat must coalesce/hit
             requests.append(
-                {
-                    "jsonrpc": "2.0",
-                    "id": next_id,
-                    "method": "analyze",
-                    "params": {
-                        "request_id": f"pair{i:04}-{dup}",
-                        "proc": proc_name,
-                        "base_path": str(base),
-                        "mod_path": str(mod),
-                    },
-                }
+                analyze_request(next_id, f"pair{i:04}-{dup}", proc_name, base, mod)
             )
             next_id += 1
-    random.Random(0).shuffle(requests)  # deterministic mixing
-    status_id = next_id
-    # `status` goes out only after every analyze request has answered, so
-    # no duplicate is still in flight when the counters are read.
-    responses = run_server(
-        dise, requests, last={"jsonrpc": "2.0", "id": status_id, "method": "status"}
+    reformat_dir = tempfile.TemporaryDirectory(prefix="dise-serve-ci-reformatted")
+    # Pair 0's modified file, reformatted: new bytes, same fingerprint, so
+    # it must share pair 0's entry rather than explore.
+    base0, mod0 = pairs[0]
+    requests.append(
+        analyze_request(
+            next_id,
+            "pair0000-reformatted",
+            proc_name,
+            base0,
+            reformatted_copy(mod0, reformat_dir.name),
+        )
     )
-    for request_id in [r["id"] for r in requests] + [status_id]:
+    next_id += 1
+    random.Random(0).shuffle(requests)  # deterministic mixing
+    # The tail goes out only after every batch request has answered: a
+    # third copy of pair 0, which must hit on its bytes alone, then
+    # `status`, so no duplicate is still in flight when the counters are
+    # read.
+    repeat = analyze_request(next_id, "pair0000-2", proc_name, base0, mod0)
+    status_id = next_id + 1
+    responses = run_server(
+        dise,
+        requests,
+        tail=[repeat, {"jsonrpc": "2.0", "id": status_id, "method": "status"}],
+    )
+    analysis = requests + [repeat]
+    for request_id in [r["id"] for r in analysis] + [status_id]:
         if request_id not in responses:
             fail(f"no response for id {request_id}")
 
     outputs = {}
-    for request in requests:
+    for request in analysis:
         line, value = responses[request["id"]][0]
         result = value.get("result")
         if result is None:
@@ -156,12 +199,16 @@ def main():
     m = status["result"]
     if m["explorations"] > len(pairs):
         fail(f"{m['explorations']} explorations for {len(pairs)} distinct pairs: {m}")
-    if m["cache_hits"] + m["coalesced"] < len(pairs):
+    if m["cache_hits"] + m["coalesced"] < len(pairs) + 2:
         fail(f"duplicates neither hit nor coalesced: {m}")
+    if m["fingerprinted"] >= len(analysis):
+        fail(f"no request was answered from its bytes alone: {m}")
     print(
-        f"serve-ci: leg 1 OK — {len(pairs)} pairs x2: "
-        f"{m['explorations']} explorations, {m['cache_hits']} hits, "
-        f"{m['coalesced']} coalesced, outputs byte-identical to one-shot runs"
+        f"serve-ci: leg 1 OK — {len(pairs)} pairs x2 + a reformatted copy "
+        f"+ a settled repeat: {m['explorations']} explorations, "
+        f"{m['cache_hits']} hits, {m['coalesced']} coalesced, "
+        f"{m['fingerprinted']} fingerprinted, outputs byte-identical to "
+        f"one-shot runs"
     )
 
     # --- Leg 2: shared-store contention with concurrent one-shot runs ---
@@ -205,6 +252,7 @@ def main():
             f"serve-ci: leg 2 OK — shared store survived {len(pairs)} concurrent "
             f"one-shot runs + server saves; store stat clean"
         )
+    reformat_dir.cleanup()
 
 
 if __name__ == "__main__":
