@@ -265,16 +265,6 @@ impl Cfg {
             .map(|&(n, _)| n)
     }
 
-    /// Finds the node originating from the statement at `span` with the
-    /// given role. Statement spans are unique in parsed programs, so this is
-    /// unambiguous.
-    pub fn node_by_origin(&self, span: Span, role: OriginRole) -> Option<NodeId> {
-        self.graph
-            .iter()
-            .find(|(_, n)| n.span == span && n.role == role)
-            .map(|(id, _)| id)
-    }
-
     /// Human-readable label such as `"2: PedalPos <= 0"` (line number then
     /// the statement text), used by the trace renderers and DOT export.
     pub fn label(&self, id: NodeId) -> String {
@@ -607,26 +597,6 @@ mod tests {
             cfg_of("proc f(int x) { while (x > 0) { while (x > 1) { x = x - 1; } x = x - 1; } }");
         let back = cfg.graph().reaches(cfg.end());
         assert!(back.iter().all(|&r| r));
-    }
-
-    #[test]
-    fn node_by_origin_finds_statements() {
-        let cfg = cfg_of("proc f(int x) {\n  x = 1;\n  assert(x > 0);\n}");
-        let program = parse_program("proc f(int x) {\n  x = 1;\n  assert(x > 0);\n}").unwrap();
-        let assign_span = program.procs[0].body.stmts[0].span;
-        let assert_span = program.procs[0].body.stmts[1].span;
-        assert!(cfg
-            .node_by_origin(assign_span, OriginRole::Primary)
-            .is_some());
-        assert!(cfg
-            .node_by_origin(assert_span, OriginRole::Primary)
-            .is_some());
-        assert!(cfg
-            .node_by_origin(assert_span, OriginRole::AssertError)
-            .is_some());
-        assert!(cfg
-            .node_by_origin(assign_span, OriginRole::AssertError)
-            .is_none());
     }
 
     #[test]

@@ -39,14 +39,16 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dise_cfg::{Cfg, NodeId, Reachability};
-use dise_diff::{proc_fingerprint, CfgDiff};
+use dise_cfg::{build_cfg, Cfg, NodeId, Reachability};
+use dise_diff::{diff_programs, proc_fingerprint, CfgDiff};
 use dise_ir::ast::Program;
-use dise_ir::inline::{contains_calls, inline_program, InlineError};
+use dise_ir::inline::{contains_calls, expand_calls, InlineError};
+use dise_ir::pretty::layout_program;
 use dise_store::{ProcEntry, Store, StoredAffected};
 use dise_symexec::{
     ExecConfig, Executor, FullExploration, SummaryTable, SymbolicSummary, WarmHandoff,
 };
+use dise_trace::{OpenSpan, TraceHandle};
 
 use crate::affected::{AffectedSets, AffectedTimings, DataflowPrecision};
 use crate::directed::DirectedStrategy;
@@ -99,8 +101,9 @@ impl StageTimings {
 pub struct Diffed {
     /// The base version's CFG.
     pub cfg_base: Cfg,
-    /// The modified version's CFG (the one the exploration runs on).
-    pub cfg_mod: Cfg,
+    /// The modified version's CFG. The directed exploration's executor
+    /// shares it rather than building its own.
+    pub cfg_mod: Arc<Cfg>,
     /// The structural diff lifted onto the CFGs.
     pub diff: CfgDiff,
 }
@@ -225,18 +228,16 @@ impl AnalysisSession {
         proc_name: &str,
         config: DiseConfig,
     ) -> Result<AnalysisSession, DiseError> {
-        let tracer = config.exec.tracer.clone();
-        let root = tracer.as_ref().map(|h| h.begin("session"));
-        let flatten_span = match (&tracer, &root) {
-            (Some(h), Some(root)) => Some(h.child(root.id()).begin("stage.flatten")),
-            _ => None,
-        };
+        let tracer = config.exec.tracer.as_ref();
+        let root = tracer.map(|h| h.begin("session"));
+        let stage = open_stage(tracer, root.as_ref(), "stage.flatten");
+        let children = stage.as_ref().map(|(_, h)| h);
         let start = Instant::now();
         let raw_modified = modified.clone();
-        let base = flatten(base, proc_name)?.into_owned();
-        let modified = flatten(modified, proc_name)?.into_owned();
+        let base = flatten(base, proc_name, children)?.into_owned();
+        let modified = flatten(modified, proc_name, children)?.into_owned();
         let flatten_time = start.elapsed();
-        if let (Some(h), Some(span)) = (&tracer, flatten_span) {
+        if let Some((span, h)) = stage {
             h.end(span);
         }
         Self::open_flat(
@@ -346,16 +347,14 @@ impl AnalysisSession {
             .take()
             .map(|p| p.table)
             .or(self.carried_summaries.take());
-        let tracer = self.config.exec.tracer.clone();
-        let root = tracer.as_ref().map(|h| h.begin("session"));
-        let flatten_span = match (&tracer, &root) {
-            (Some(h), Some(root)) => Some(h.child(root.id()).begin("stage.flatten")),
-            _ => None,
-        };
+        let tracer = self.config.exec.tracer.as_ref();
+        let root = tracer.map(|h| h.begin("session"));
+        let stage = open_stage(tracer, root.as_ref(), "stage.flatten");
         let start = Instant::now();
-        let next_flat = flatten(next, &self.proc_name)?.into_owned();
+        let next_flat =
+            flatten(next, &self.proc_name, stage.as_ref().map(|(_, h)| h))?.into_owned();
         let flatten_time = start.elapsed();
-        if let (Some(h), Some(span)) = (&tracer, flatten_span) {
+        if let Some((span, h)) = stage {
             h.end(span);
         }
         let mut session = Self::open_flat(
@@ -433,6 +432,12 @@ impl AnalysisSession {
         })
     }
 
+    /// A trace handle whose spans nest under `span`; `None` without one.
+    fn child_trace(&self, span: &Option<OpenSpan>) -> Option<TraceHandle> {
+        let h = self.config.exec.tracer.as_ref()?;
+        span.as_ref().map(|span| h.child(span.id()))
+    }
+
     /// Closes a span opened by [`AnalysisSession::begin_span`].
     fn end_span(&self, span: Option<dise_trace::OpenSpan>, counters: Vec<(String, u64)>) {
         if let (Some(h), Some(span)) = (&self.config.exec.tracer, span) {
@@ -441,7 +446,9 @@ impl AnalysisSession {
     }
 
     /// The Diffed stage: both CFGs plus the lifted change map, computed
-    /// on first call.
+    /// on first call. Its child spans time the statement diff
+    /// (`diff.stmt`), building both CFGs (`diff.cfg`) and the lift onto
+    /// them (`diff.map`).
     ///
     /// # Errors
     ///
@@ -449,9 +456,21 @@ impl AnalysisSession {
     pub fn diffed(&mut self) -> Result<&Diffed, DiseError> {
         if self.diffed.is_none() {
             let span = self.begin_span("stage.diff");
+            let trace = self.child_trace(&span);
+            let trace = trace.as_ref();
             let start = Instant::now();
-            let (cfg_base, cfg_mod, diff) =
-                CfgDiff::from_programs(&self.base, &self.modified, &self.proc_name)?;
+            let (base, modified, proc_name) = (&self.base, &self.modified, &self.proc_name);
+            let stmt_diff = in_span(trace, "diff.stmt", || {
+                diff_programs(base, modified, proc_name)
+            })?;
+            let (cfg_base, cfg_mod) = in_span(trace, "diff.cfg", || {
+                // diff_programs has checked that both versions have it.
+                let cfg_of = |p: &Program| build_cfg(p.proc(proc_name).expect("diffed procedure"));
+                (cfg_of(base), Arc::new(cfg_of(modified)))
+            });
+            let diff = in_span(trace, "diff.map", || {
+                CfgDiff::new(&stmt_diff, &cfg_base, &cfg_mod)
+            });
             self.timings.diff = start.elapsed();
             self.end_span(
                 span,
@@ -498,13 +517,7 @@ impl AnalysisSession {
                     sets
                 }
                 None => {
-                    let trace = self
-                        .config
-                        .exec
-                        .tracer
-                        .as_ref()
-                        .zip(span.as_ref())
-                        .map(|(h, span)| h.child(span.id()));
+                    let trace = self.child_trace(&span);
                     let (sets, reach, parts) = AffectedSets::staged(
                         &diffed.cfg_base,
                         &diffed.cfg_mod,
@@ -547,9 +560,11 @@ impl AnalysisSession {
             let span = self.begin_span("stage.explore");
             let start = Instant::now();
             let solver_key = self.config.exec.solver.cache_key();
-            let mut executor = Executor::new(
+            let diffed = self.diffed.as_ref().expect("diff stage ensured");
+            let mut executor = Executor::with_cfg(
                 &self.modified,
                 &self.proc_name,
+                Arc::clone(&diffed.cfg_mod),
                 reparented(&self.config.exec, &span),
             )?;
             let mut restored = None;
@@ -586,11 +601,6 @@ impl AnalysisSession {
             }
             let diffed = self.diffed.as_ref().expect("diff stage ensured");
             let affected = self.affected.as_ref().expect("affected stage ensured");
-            debug_assert_eq!(
-                executor.cfg().len(),
-                diffed.cfg_mod.len(),
-                "CFG construction must be deterministic"
-            );
             // Restored affected sets come without the closure.
             let reach = self
                 .reach
@@ -917,16 +927,42 @@ impl AnalysisSession {
 /// Flattens multi-procedure programs before analysis; call-free programs
 /// pass through untouched. DiSE is intra-procedural (§3.2), so calls are
 /// expanded by bounded inlining — the pragmatic realization of the paper's
-/// inter-procedural future work (§7).
+/// inter-procedural future work (§7). This is
+/// [`inline_program`](dise_ir::inline::inline_program) with its two steps
+/// timed apart under `trace`: `flatten.expand` and `flatten.layout`.
 pub(crate) fn flatten<'p>(
     program: &'p Program,
     proc_name: &str,
+    trace: Option<&TraceHandle>,
 ) -> Result<Cow<'p, Program>, InlineError> {
-    if contains_calls(program, proc_name) {
-        Ok(Cow::Owned(inline_program(program, proc_name)?))
-    } else {
-        Ok(Cow::Borrowed(program))
+    if !contains_calls(program, proc_name) {
+        return Ok(Cow::Borrowed(program));
     }
+    let mut flat = in_span(trace, "flatten.expand", || expand_calls(program, proc_name))?;
+    in_span(trace, "flatten.layout", || layout_program(&mut flat));
+    Ok(Cow::Owned(flat))
+}
+
+/// Runs `f` inside a span called `name` when a trace handle is given.
+fn in_span<T>(trace: Option<&TraceHandle>, name: &str, f: impl FnOnce() -> T) -> T {
+    let span = trace.map(|h| h.begin(name));
+    let out = f();
+    if let (Some(h), Some(span)) = (trace, span) {
+        h.end(span);
+    }
+    out
+}
+
+/// Opens the stage span `name` under the session's `root` span, with a
+/// handle for the stage's children; `None` without a tracer.
+fn open_stage(
+    tracer: Option<&TraceHandle>,
+    root: Option<&OpenSpan>,
+    name: &str,
+) -> Option<(OpenSpan, TraceHandle)> {
+    let span = tracer?.child(root?.id()).begin(name);
+    let children = tracer?.child(span.id());
+    Some((span, children))
 }
 
 /// Re-parents the exec config's trace handle under `span`, so spans the
@@ -994,7 +1030,7 @@ pub(crate) fn full_exploration(
             return Ok(summary);
         }
     }
-    let program = flatten(program, proc_name)?;
+    let program = flatten(program, proc_name, None)?;
     full_exploration_flat(program.as_ref(), proc_name, &config.exec)
 }
 

@@ -8,11 +8,13 @@
 //!
 //! A single statement can own several CFG nodes (a desugared `assert` owns
 //! a branch and an error node); the [`dise_cfg::OriginRole`] discriminator keeps the
-//! mapping exact.
+//! mapping exact. The lift indexes `CFG_mod` by `(span, role)` once, so it
+//! is linear in the size of the two CFGs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use dise_cfg::{Cfg, NodeId};
+use dise_cfg::{Cfg, NodeId, OriginRole};
+use dise_ir::Span;
 
 use crate::stmt_diff::{BaseMark, ModMark, ProcDiff};
 
@@ -50,12 +52,17 @@ impl CfgDiff {
     pub fn new(diff: &ProcDiff, cfg_base: &Cfg, cfg_mod: &Cfg) -> CfgDiff {
         let mut out = CfgDiff::default();
 
-        // Mod-side marks.
+        // Mod-side marks, and the origin index the diffMap looks up.
+        let mut by_origin: HashMap<(Span, OriginRole), NodeId> =
+            HashMap::with_capacity(cfg_mod.len());
         for id in cfg_mod.node_ids() {
             let node = cfg_mod.node(id);
             if node.span.is_dummy() {
                 continue; // begin/end
             }
+            // Statement spans are unique, so a key has one node; should
+            // one repeat, the lowest id stands.
+            by_origin.entry((node.span, node.role)).or_insert(id);
             match diff.mod_mark(node.span) {
                 Some(ModMark::Changed) => {
                     out.changed_mod.insert(id);
@@ -82,7 +89,7 @@ impl CfgDiff {
                         out.changed_base.insert(id);
                     }
                     if let Some(mod_span) = diff.map_span(node.span) {
-                        if let Some(mod_id) = cfg_mod.node_by_origin(mod_span, node.role) {
+                        if let Some(&mod_id) = by_origin.get(&(mod_span, node.role)) {
                             out.diff_map.insert(id, mod_id);
                         }
                     }
@@ -171,7 +178,6 @@ impl CfgDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dise_cfg::OriginRole;
     use dise_ir::parse_program;
 
     fn lift(base: &str, modified: &str) -> (Cfg, Cfg, CfgDiff) {
@@ -256,5 +262,29 @@ mod tests {
         let (cfg_base, cfg_mod, d) = lift("proc f(int x) { x = 1; }", "proc f(int x) { x = 2; }");
         assert_eq!(d.map_node(cfg_base.begin()), Some(cfg_mod.begin()));
         assert_eq!(d.map_node(cfg_base.end()), Some(cfg_mod.end()));
+    }
+
+    #[test]
+    fn statements_map_to_their_nodes_by_role() {
+        let src = "proc f(int x) {\n  x = 1;\n  assert(x > 0);\n}";
+        let (cfg_base, cfg_mod, d) = lift(src, src);
+        let node_of = |cfg: &Cfg, line: u32, role: OriginRole| {
+            cfg.node_ids()
+                .find(|&id| cfg.node(id).span.line == line && cfg.node(id).role == role)
+        };
+        // The assignment owns one primary node and no error node.
+        let assign = node_of(&cfg_base, 2, OriginRole::Primary).expect("assign node");
+        assert!(node_of(&cfg_base, 2, OriginRole::AssertError).is_none());
+        assert_eq!(
+            d.map_node(assign),
+            node_of(&cfg_mod, 2, OriginRole::Primary)
+        );
+        // The assert owns a primary branch and an error node, each mapped
+        // onto the node of the same role.
+        for role in [OriginRole::Primary, OriginRole::AssertError] {
+            let base_node = node_of(&cfg_base, 3, role).expect("assert node");
+            let mod_node = node_of(&cfg_mod, 3, role).expect("assert node");
+            assert_eq!(d.map_node(base_node), Some(mod_node), "{role:?}");
+        }
     }
 }

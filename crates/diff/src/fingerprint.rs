@@ -2,9 +2,10 @@
 //!
 //! The persistent analysis store keys its cross-run reuse decisions on a
 //! stable fingerprint of *what the pipeline actually analyzes*: the
-//! procedure after bounded inlining (the same flattening
-//! `dise-core::run_dise` performs), its referenced globals, and the CFG
-//! built from it. Hashing both the canonical pretty-printed IR and the
+//! procedure after bounded inlining (the expansion
+//! `dise-core::run_dise` performs; the layout that re-spans it is skipped,
+//! since nothing hashed here carries a span), its referenced globals, and
+//! the CFG built from it. Hashing both the canonical pretty-printed IR and the
 //! CFG structure means the fingerprint is independent of source spans,
 //! comments, and formatting — a re-indented file warm-starts — while any
 //! change to statements, control structure, or global initializers
@@ -18,7 +19,7 @@
 
 use dise_cfg::{build_cfg, NodeKind};
 use dise_ir::ast::Program;
-use dise_ir::inline::{contains_calls, inline_program, InlineError};
+use dise_ir::inline::{contains_calls, expand_calls, InlineError};
 use dise_ir::pretty::{pretty_expr, pretty_proc};
 
 /// FNV-1a 64 (local copy; the diff layer stays dependency-free).
@@ -59,7 +60,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 pub fn proc_fingerprint(program: &Program, proc_name: &str) -> Result<u64, InlineError> {
     let flat;
     let program = if contains_calls(program, proc_name) {
-        flat = inline_program(program, proc_name)?;
+        flat = expand_calls(program, proc_name)?;
         &flat
     } else {
         program
@@ -162,6 +163,22 @@ mod tests {
         assert_ne!(
             proc_fingerprint(&a, "f").unwrap(),
             proc_fingerprint(&b, "f").unwrap()
+        );
+    }
+
+    #[test]
+    fn a_program_and_its_flattening_share_a_fingerprint() {
+        // Fingerprinting expands calls without the layout; the layout
+        // moves spans only, so the flattened version hashes the same.
+        let p = parse_program(
+            "int g;\nproc clamp(int v) { if (v > 9) { v = 9; } assert(v < 10); g = v; }\n\
+             proc main(int x) { clamp(x); clamp(-x); }",
+        )
+        .unwrap();
+        let flat = dise_ir::inline::inline_program(&p, "main").unwrap();
+        assert_eq!(
+            proc_fingerprint(&p, "main").unwrap(),
+            proc_fingerprint(&flat, "main").unwrap()
         );
     }
 

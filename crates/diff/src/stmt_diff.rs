@@ -17,10 +17,10 @@
 //!
 //! Statements are keyed by their source [`Span`], which is unique per
 //! statement in parsed programs (the constructor validates this and
-//! reports [`DiffError::AmbiguousSpans`] otherwise — pretty-print and
-//! re-parse builder-generated ASTs first).
+//! reports [`DiffError::AmbiguousSpans`] otherwise — lay builder-generated
+//! ASTs out first with [`dise_ir::pretty::layout_program`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -57,7 +57,8 @@ pub enum DiffError {
     /// The requested procedure is missing from one of the programs.
     MissingProcedure(String),
     /// Two statements share a span; the program was probably built
-    /// programmatically. Pretty-print and re-parse first.
+    /// programmatically. Lay it out first
+    /// ([`dise_ir::pretty::layout_program`]).
     AmbiguousSpans(Span),
 }
 
@@ -192,9 +193,9 @@ pub fn diff_procedures(base: &Procedure, modified: &Procedure) -> Result<ProcDif
 }
 
 fn validate_spans(block: &Block) -> Result<(), DiffError> {
-    fn walk(block: &Block, seen: &mut BTreeMap<Span, ()>) -> Result<(), DiffError> {
+    fn walk(block: &Block, seen: &mut HashSet<Span>) -> Result<(), DiffError> {
         for stmt in &block.stmts {
-            if seen.insert(stmt.span, ()).is_some() {
+            if !seen.insert(stmt.span) {
                 return Err(DiffError::AmbiguousSpans(stmt.span));
             }
             match &stmt.kind {
@@ -214,26 +215,30 @@ fn validate_spans(block: &Block) -> Result<(), DiffError> {
         }
         Ok(())
     }
-    let mut seen = BTreeMap::new();
+    let mut seen = HashSet::with_capacity(block.stmt_count());
     walk(block, &mut seen)
 }
 
 fn diff_blocks(base: &Block, modified: &Block, diff: &mut ProcDiff) {
-    let base_stmts: Vec<&Stmt> = base.stmts.iter().collect();
-    let mod_stmts: Vec<&Stmt> = modified.stmts.iter().collect();
+    let (base_stmts, mod_stmts) = (&base.stmts, &modified.stmts);
 
     // Pass 1: header-equal pairs are unchanged.
-    let header_pairs = lcs_table(&base_stmts, &mod_stmts, |a, b| a.header_eq(b));
+    let header_pairs = lcs_table(base_stmts, mod_stmts, |a, b| a.header_eq(b));
+    for &(bi, mj) in &header_pairs {
+        let (b, m) = (&base_stmts[bi], &mod_stmts[mj]);
+        diff.base_marks.insert(b.span, BaseMark::Unchanged);
+        diff.mod_marks.insert(m.span, ModMark::Unchanged);
+        diff.span_map.insert(b.span, m.span);
+        recurse_into_pair(b, m, diff);
+    }
+    if header_pairs.len() == base_stmts.len() && header_pairs.len() == mod_stmts.len() {
+        return; // An untouched block.
+    }
     let mut base_matched = vec![false; base_stmts.len()];
     let mut mod_matched = vec![false; mod_stmts.len()];
     for &(bi, mj) in &header_pairs {
         base_matched[bi] = true;
         mod_matched[mj] = true;
-        let (b, m) = (base_stmts[bi], mod_stmts[mj]);
-        diff.base_marks.insert(b.span, BaseMark::Unchanged);
-        diff.mod_marks.insert(m.span, ModMark::Unchanged);
-        diff.span_map.insert(b.span, m.span);
-        recurse_into_pair(b, m, diff);
     }
 
     // Pass 2: same-kind pairs among the leftovers are "changed".
@@ -241,13 +246,11 @@ fn diff_blocks(base: &Block, modified: &Block, diff: &mut ProcDiff) {
         .iter()
         .enumerate()
         .filter(|(i, _)| !base_matched[*i])
-        .map(|(i, s)| (i, *s))
         .collect();
     let mod_rest: Vec<(usize, &Stmt)> = mod_stmts
         .iter()
         .enumerate()
         .filter(|(j, _)| !mod_matched[*j])
-        .map(|(j, s)| (j, *s))
         .collect();
     let kind_pairs = lcs_table(&base_rest, &mod_rest, |(_, a), (_, b)| same_kind(a, b));
     for &(ri, rj) in &kind_pairs {
@@ -262,15 +265,11 @@ fn diff_blocks(base: &Block, modified: &Block, diff: &mut ProcDiff) {
     }
 
     // Leftovers: removed / added, recursively.
-    for (i, stmt) in base_stmts.iter().enumerate() {
-        if !base_matched[i] {
-            mark_base_subtree(stmt, diff);
-        }
+    for (stmt, _) in base_stmts.iter().zip(&base_matched).filter(|(_, &m)| !m) {
+        mark_base_subtree(stmt, diff);
     }
-    for (j, stmt) in mod_stmts.iter().enumerate() {
-        if !mod_matched[j] {
-            mark_mod_subtree(stmt, diff);
-        }
+    for (stmt, _) in mod_stmts.iter().zip(&mod_matched).filter(|(_, &m)| !m) {
+        mark_mod_subtree(stmt, diff);
     }
 }
 

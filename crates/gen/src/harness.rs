@@ -101,9 +101,9 @@ pub fn render_verdicts(summary: &SymbolicSummary) -> String {
 
 /// The CFG nodes whose expression embeds the integer literal `marker`:
 /// `Assign` right-hand sides, `Branch`/`Assume` conditions. This is how
-/// ground truth survives flattening — the inliner re-parses programs (so
-/// spans regenerate) but copies expressions verbatim, once per inlined
-/// call.
+/// ground truth survives flattening — the inliner lays programs out
+/// afresh (so spans regenerate) but copies expressions verbatim, once per
+/// inlined call.
 pub fn nodes_with_marker(cfg: &Cfg, marker: i64) -> Vec<NodeId> {
     cfg.node_ids()
         .filter(|&id| match &cfg.node(id).kind {

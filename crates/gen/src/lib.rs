@@ -23,8 +23,8 @@
 //!
 //! ## Why marker constants?
 //!
-//! The inliner pretty-prints and re-parses flattened programs, so source
-//! spans do not survive flattening and cannot anchor ground truth. A
+//! The inliner lays flattened programs out afresh, so source spans do not
+//! survive flattening and cannot anchor ground truth. A
 //! marker literal does: it rides inside the statement's expression through
 //! inlining (once per inlined copy of a callee), and
 //! [`nodes_with_marker`] recovers exactly the CFG nodes of the edited

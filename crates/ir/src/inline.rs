@@ -15,17 +15,20 @@
 //! * rejects recursion (the expansion would not terminate) and `return`
 //!   anywhere but the tail of a callee (a non-tail `return` would need a
 //!   jump out of the inlined block);
-//! * pretty-prints and re-parses the result so statement spans are unique
-//!   again (each call site gets its own copies, which the differencing
-//!   analysis must be able to tell apart).
+//! * lays the result out once ([`layout_program`]): every statement and
+//!   expression gets the span that parsing the canonical text would give
+//!   it, so statement spans are unique again (each call site gets its own
+//!   copies, which the differencing analysis must be able to tell apart)
+//!   without printing and re-parsing the program.
+//!
+//! [`expand_calls`] is the expansion alone, before the layout.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::ast::{Block, Expr, ExprKind, Procedure, Program, Stmt, StmtKind};
-use crate::parser::parse_program;
-use crate::pretty::pretty_program;
+use crate::pretty::layout_program;
 
 /// Errors from inlining.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +87,10 @@ impl fmt::Display for InlineError {
 impl Error for InlineError {}
 
 /// Returns a program whose `proc_name` procedure has every call expanded,
-/// and whose other procedures are removed (they have been absorbed).
-/// Programs without calls are returned re-parsed but otherwise unchanged.
+/// and whose other procedures are removed (they have been absorbed). The
+/// result is laid out ([`layout_program`]): its spans are those of its
+/// canonical text. Programs without calls are returned re-spanned but
+/// otherwise unchanged.
 ///
 /// # Errors
 ///
@@ -115,6 +120,21 @@ impl Error for InlineError {}
 /// # }
 /// ```
 pub fn inline_program(program: &Program, proc_name: &str) -> Result<Program, InlineError> {
+    let mut flat = expand_calls(program, proc_name)?;
+    layout_program(&mut flat);
+    Ok(flat)
+}
+
+/// The expansion step of [`inline_program`]: `proc_name` with every call
+/// expanded, alone in a program with the original globals. Each copy of a
+/// callee statement keeps its span in the callee and parameter bindings
+/// have none, so the spans are not yet unique; [`layout_program`] makes
+/// them so.
+///
+/// # Errors
+///
+/// See [`InlineError`].
+pub fn expand_calls(program: &Program, proc_name: &str) -> Result<Program, InlineError> {
     let procedure = program
         .proc(proc_name)
         .ok_or_else(|| InlineError::MissingProcedure(proc_name.to_string()))?;
@@ -124,7 +144,7 @@ pub fn inline_program(program: &Program, proc_name: &str) -> Result<Program, Inl
         counter: 0,
     };
     let body = inliner.expand_block(&procedure.body, proc_name)?;
-    let flattened = Program {
+    Ok(Program {
         globals: program.globals.clone(),
         procs: vec![Procedure {
             name: procedure.name.clone(),
@@ -132,50 +152,7 @@ pub fn inline_program(program: &Program, proc_name: &str) -> Result<Program, Inl
             body,
             span: procedure.span,
         }],
-    };
-    // Re-parse to regenerate unique statement spans for the diff. The
-    // pretty-printer has no surface syntax for assert labels, so they are
-    // grafted back onto the structurally identical re-parse.
-    let source = pretty_program(&flattened);
-    let mut reparsed = parse_program(&source).expect("pretty-printed inlined program re-parses");
-    for (from, to) in flattened.procs.iter().zip(&mut reparsed.procs) {
-        copy_assert_labels(&from.body, &mut to.body);
-    }
-    Ok(reparsed)
-}
-
-/// Copies [`StmtKind::Assert`] labels from `from` onto the structurally
-/// identical `to` (a pretty-print/re-parse round trip preserves statement
-/// structure but has no syntax for labels).
-fn copy_assert_labels(from: &Block, to: &mut Block) {
-    for (f, t) in from.stmts.iter().zip(&mut to.stmts) {
-        match (&f.kind, &mut t.kind) {
-            (StmtKind::Assert { label: f_label, .. }, StmtKind::Assert { label: t_label, .. }) => {
-                t_label.clone_from(f_label);
-            }
-            (
-                StmtKind::If {
-                    then_branch: f_then,
-                    else_branch: f_else,
-                    ..
-                },
-                StmtKind::If {
-                    then_branch: t_then,
-                    else_branch: t_else,
-                    ..
-                },
-            ) => {
-                copy_assert_labels(f_then, t_then);
-                if let (Some(f_else), Some(t_else)) = (f_else, t_else) {
-                    copy_assert_labels(f_else, t_else);
-                }
-            }
-            (StmtKind::While { body: f_body, .. }, StmtKind::While { body: t_body, .. }) => {
-                copy_assert_labels(f_body, t_body);
-            }
-            _ => {}
-        }
-    }
+    })
 }
 
 /// Does the program's `proc_name` procedure (transitively) contain calls?
@@ -296,8 +273,8 @@ impl Inliner<'_> {
             }));
             renames.insert(param.name.clone(), fresh);
         }
-        let renamed = rename_block(&callee_body, &prefix, &mut renames);
-        stmts.extend(renamed.stmts);
+        rename_block(&mut callee_body, &prefix, &mut renames);
+        stmts.extend(callee_body.stmts);
         Ok(stmts)
     }
 }
@@ -318,89 +295,76 @@ fn block_contains_return(block: &Block) -> bool {
     })
 }
 
-/// α-renames parameters/locals in a callee body. `renames` maps original
-/// names to fresh ones; locals declared inside the body are added as they
-/// are encountered (MJ forbids shadowing, so a single map suffices).
-fn rename_block(block: &Block, prefix: &str, renames: &mut HashMap<String, String>) -> Block {
-    let stmts = block
-        .stmts
-        .iter()
-        .map(|stmt| {
-            let kind = match &stmt.kind {
-                StmtKind::Decl { ty, name, init } => {
-                    let init = rename_expr(init, renames);
-                    let fresh = format!("{prefix}{name}");
-                    renames.insert(name.clone(), fresh.clone());
-                    StmtKind::Decl {
-                        ty: *ty,
-                        name: fresh,
-                        init,
-                    }
+/// α-renames parameters/locals in an expanded callee body, in place.
+/// `renames` maps original names to fresh ones; locals declared inside the
+/// body are added as they are encountered (MJ forbids shadowing, so a
+/// single map suffices). An assert keeps the text of its condition as
+/// written in the callee as its label.
+fn rename_block(block: &mut Block, prefix: &str, renames: &mut HashMap<String, String>) {
+    for stmt in &mut block.stmts {
+        match &mut stmt.kind {
+            StmtKind::Decl { name, init, .. } => {
+                rename_expr(init, renames);
+                let fresh = format!("{prefix}{name}");
+                renames.insert(std::mem::replace(name, fresh.clone()), fresh);
+            }
+            StmtKind::Assign { name, value } => {
+                rename_var(name, renames);
+                rename_expr(value, renames);
+            }
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                rename_expr(cond, renames);
+                rename_block(then_branch, prefix, renames);
+                if let Some(else_block) = else_branch {
+                    rename_block(else_block, prefix, renames);
                 }
-                StmtKind::Assign { name, value } => StmtKind::Assign {
-                    name: renames.get(name).cloned().unwrap_or_else(|| name.clone()),
-                    value: rename_expr(value, renames),
-                },
-                StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => StmtKind::If {
-                    cond: rename_expr(cond, renames),
-                    then_branch: rename_block(then_branch, prefix, renames),
-                    else_branch: else_branch
-                        .as_ref()
-                        .map(|b| rename_block(b, prefix, renames)),
-                },
-                StmtKind::While { cond, body } => StmtKind::While {
-                    cond: rename_expr(cond, renames),
-                    body: rename_block(body, prefix, renames),
-                },
-                StmtKind::Assert { cond, label } => StmtKind::Assert {
-                    label: label
-                        .clone()
-                        .or_else(|| Some(crate::pretty::pretty_expr(cond))),
-                    cond: rename_expr(cond, renames),
-                },
-                StmtKind::Assume { cond } => StmtKind::Assume {
-                    cond: rename_expr(cond, renames),
-                },
-                StmtKind::Skip => StmtKind::Skip,
-                StmtKind::Return => StmtKind::Return,
-                StmtKind::Call { callee, args } => StmtKind::Call {
-                    callee: callee.clone(),
-                    args: args.iter().map(|a| rename_expr(a, renames)).collect(),
-                },
-            };
-            Stmt::new(kind)
-        })
-        .collect();
-    Block::new(stmts)
+            }
+            StmtKind::While { cond, body } => {
+                rename_expr(cond, renames);
+                rename_block(body, prefix, renames);
+            }
+            StmtKind::Assert { cond, label } => {
+                label.get_or_insert_with(|| crate::pretty::pretty_expr(cond));
+                rename_expr(cond, renames);
+            }
+            StmtKind::Assume { cond } => rename_expr(cond, renames),
+            StmtKind::Call { args, .. } => {
+                for arg in args {
+                    rename_expr(arg, renames);
+                }
+            }
+            StmtKind::Skip | StmtKind::Return => {}
+        }
+    }
 }
 
-fn rename_expr(expr: &Expr, renames: &HashMap<String, String>) -> Expr {
-    let kind = match &expr.kind {
-        ExprKind::Int(v) => ExprKind::Int(*v),
-        ExprKind::Bool(b) => ExprKind::Bool(*b),
-        ExprKind::Var(name) => {
-            ExprKind::Var(renames.get(name).cloned().unwrap_or_else(|| name.clone()))
+fn rename_expr(expr: &mut Expr, renames: &HashMap<String, String>) {
+    match &mut expr.kind {
+        ExprKind::Var(name) => rename_var(name, renames),
+        ExprKind::Unary { expr: inner, .. } => rename_expr(inner, renames),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            rename_expr(lhs, renames);
+            rename_expr(rhs, renames);
         }
-        ExprKind::Unary { op, expr: inner } => ExprKind::Unary {
-            op: *op,
-            expr: Box::new(rename_expr(inner, renames)),
-        },
-        ExprKind::Binary { op, lhs, rhs } => ExprKind::Binary {
-            op: *op,
-            lhs: Box::new(rename_expr(lhs, renames)),
-            rhs: Box::new(rename_expr(rhs, renames)),
-        },
-    };
-    Expr::new(kind)
+        ExprKind::Int(_) | ExprKind::Bool(_) => {}
+    }
+}
+
+fn rename_var(name: &mut String, renames: &HashMap<String, String>) {
+    if let Some(fresh) = renames.get(name.as_str()) {
+        name.clone_from(fresh);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_program;
+    use crate::pretty::pretty_program;
     use crate::typeck::check_program;
 
     fn inline_checked(src: &str, proc: &str) -> Program {

@@ -1,14 +1,24 @@
-//! Canonical pretty-printer.
+//! Canonical pretty-printer and the layout pass.
 //!
 //! The printer emits fully parenthesized-where-needed source such that
 //! `parse_program(pretty(p))` reproduces `p` up to spans (verified by a
 //! property test in the umbrella crate). `else`-blocks containing exactly one
-//! `if` are rendered as `else if` chains, matching the parser's sugar.
+//! `if` are rendered as `else if` chains, matching the parser's sugar; each
+//! link of a chain is written straight into the output, so printing is
+//! linear in the size of the text.
+//!
+//! [`layout_program`] runs the same printer in recording mode: besides the
+//! text, it gives every global, parameter, procedure, statement and
+//! expression the span that [`parse_program`](crate::parse_program) of that
+//! text would give it. Inlining uses it to hand each inlined copy unique
+//! statement spans without printing and re-parsing the program. The parser
+//! has no negative literals, so a negative [`ExprKind::Int`] comes out of the
+//! layout as a negation of its magnitude, as a re-parse would read it.
 
-use std::fmt;
 use std::fmt::Write as _;
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, Procedure, Program, Stmt, StmtKind, UnOp};
+use crate::span::Span;
 
 /// Renders a whole program as canonical MJ source.
 ///
@@ -26,126 +36,54 @@ use crate::ast::{BinOp, Block, Expr, ExprKind, Procedure, Program, Stmt, StmtKin
 /// # }
 /// ```
 pub fn pretty_program(program: &Program) -> String {
-    let mut out = String::new();
-    for global in &program.globals {
-        let _ = write!(out, "{} {}", global.ty, global.name);
-        if let Some(init) = &global.init {
-            let _ = write!(out, " = {}", pretty_expr(init));
-        }
-        out.push_str(";\n");
-    }
-    if !program.globals.is_empty() && !program.procs.is_empty() {
-        out.push('\n');
-    }
-    for (i, procedure) in program.procs.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        pretty_proc_into(procedure, &mut out);
-    }
-    out
+    let mut printer = Printer::new(false);
+    printer.program(program);
+    printer.out
+}
+
+/// Renders `program` as [`pretty_program`] does and re-spans it in place:
+/// afterwards every node carries the span that parsing the returned text
+/// would give it, and negative integer literals have become negations of
+/// their magnitude. Assert labels, which have no surface syntax, are kept.
+///
+/// # Examples
+///
+/// ```
+/// use dise_ir::builder::{assign, int, ProgramBuilder};
+/// use dise_ir::{parse_program, pretty::layout_program, Type};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut p = ProgramBuilder::new()
+///     .proc("f", [("x", Type::Int)], vec![assign("x", int(1)), assign("x", int(2))])
+///     .build();
+/// let text = layout_program(&mut p);
+/// assert_eq!(p, parse_program(&text)?);
+/// assert_eq!(p.procs[0].body.stmts[1].span.line, 3);
+/// # Ok(())
+/// # }
+/// ```
+pub fn layout_program(program: &mut Program) -> String {
+    let mut printer = Printer::new(true);
+    printer.program(program);
+    let mut spans = printer.spans.take().unwrap_or_default().into_iter();
+    respan_program(program, &mut spans);
+    debug_assert!(spans.next().is_none(), "one recorded span per node");
+    printer.out
 }
 
 /// Renders a single procedure as canonical MJ source.
 pub fn pretty_proc(procedure: &Procedure) -> String {
-    let mut out = String::new();
-    pretty_proc_into(procedure, &mut out);
-    out
-}
-
-fn pretty_proc_into(procedure: &Procedure, out: &mut String) {
-    let _ = write!(out, "proc {}(", procedure.name);
-    for (i, param) in procedure.params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{} {}", param.ty, param.name);
-    }
-    out.push_str(") {\n");
-    pretty_block_into(&procedure.body, 1, out);
-    out.push_str("}\n");
+    let mut printer = Printer::new(false);
+    printer.procedure(procedure);
+    printer.out
 }
 
 /// Renders a statement (with trailing newline) at the given indent level.
 pub fn pretty_stmt(stmt: &Stmt, indent: usize) -> String {
-    let mut out = String::new();
-    pretty_stmt_into(stmt, indent, &mut out);
-    out
-}
-
-fn pretty_block_into(block: &Block, indent: usize, out: &mut String) {
-    for stmt in &block.stmts {
-        pretty_stmt_into(stmt, indent, out);
-    }
-}
-
-fn push_indent(indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn pretty_stmt_into(stmt: &Stmt, indent: usize, out: &mut String) {
-    push_indent(indent, out);
-    match &stmt.kind {
-        StmtKind::Decl { ty, name, init } => {
-            let _ = writeln!(out, "{ty} {name} = {};", pretty_expr(init));
-        }
-        StmtKind::Assign { name, value } => {
-            let _ = writeln!(out, "{name} = {};", pretty_expr(value));
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let _ = writeln!(out, "if ({}) {{", pretty_expr(cond));
-            pretty_block_into(then_branch, indent + 1, out);
-            match else_branch {
-                None => {
-                    push_indent(indent, out);
-                    out.push_str("}\n");
-                }
-                Some(else_block) => {
-                    push_indent(indent, out);
-                    // Render `else { if ... }` with a single nested if as
-                    // `else if ...`, the form the parser produces.
-                    if else_block.stmts.len() == 1 {
-                        if let StmtKind::If { .. } = else_block.stmts[0].kind {
-                            out.push_str("} else ");
-                            let mut chained = String::new();
-                            pretty_stmt_into(&else_block.stmts[0], indent, &mut chained);
-                            // Drop the indent the nested call added.
-                            out.push_str(chained.trim_start());
-                            return;
-                        }
-                    }
-                    out.push_str("} else {\n");
-                    pretty_block_into(else_block, indent + 1, out);
-                    push_indent(indent, out);
-                    out.push_str("}\n");
-                }
-            }
-        }
-        StmtKind::While { cond, body } => {
-            let _ = writeln!(out, "while ({}) {{", pretty_expr(cond));
-            pretty_block_into(body, indent + 1, out);
-            push_indent(indent, out);
-            out.push_str("}\n");
-        }
-        StmtKind::Assert { cond, .. } => {
-            let _ = writeln!(out, "assert({});", pretty_expr(cond));
-        }
-        StmtKind::Assume { cond } => {
-            let _ = writeln!(out, "assume({});", pretty_expr(cond));
-        }
-        StmtKind::Skip => out.push_str("skip;\n"),
-        StmtKind::Return => out.push_str("return;\n"),
-        StmtKind::Call { callee, args } => {
-            let rendered: Vec<String> = args.iter().map(pretty_expr).collect();
-            let _ = writeln!(out, "{callee}({});", rendered.join(", "));
-        }
-    }
+    let mut printer = Printer::new(false);
+    printer.indent(indent);
+    printer.stmt(stmt, indent);
+    printer.out
 }
 
 /// Renders an expression with minimal parentheses.
@@ -162,9 +100,9 @@ fn pretty_stmt_into(stmt: &Stmt, indent: usize, out: &mut String) {
 /// # }
 /// ```
 pub fn pretty_expr(expr: &Expr) -> String {
-    let mut out = String::new();
-    write_expr(expr, 0, &mut out).expect("writing to String cannot fail");
-    out
+    let mut printer = Printer::new(false);
+    printer.expr(expr, 0);
+    printer.out
 }
 
 /// Binding strength: higher binds tighter. Mirrors the parser's grammar
@@ -179,54 +117,368 @@ fn precedence(op: BinOp) -> u8 {
     }
 }
 
-fn write_expr(expr: &Expr, min_prec: u8, out: &mut String) -> fmt::Result {
-    match &expr.kind {
-        ExprKind::Int(v) => {
-            if *v < 0 {
-                // Negative literals only arise from constant folding; they
-                // must re-parse as a unary negation, so parenthesize under
-                // tight contexts.
-                if min_prec >= 6 {
-                    write!(out, "({v})")
-                } else {
-                    write!(out, "{v}")
+/// The one writer behind every entry point. Every node the parser gives a
+/// span to is written between a [`Printer::open`] and a
+/// [`Printer::close`]; in recording mode that pair stores the node's span
+/// in pre-order, the order [`respan_program`] consumes them in.
+struct Printer {
+    out: String,
+    /// 1-based line the next character lands on.
+    line: u32,
+    /// Byte offset of the start of `line` in `out`. Columns count bytes,
+    /// which are characters in MJ source (it is ASCII).
+    line_start: usize,
+    /// Recorded spans in pre-order; `None` when only printing.
+    spans: Option<Vec<Span>>,
+}
+
+/// A node whose span is open: its pre-order slot and start position.
+struct Open {
+    slot: usize,
+    line: u32,
+    col: u32,
+}
+
+impl Printer {
+    fn new(record: bool) -> Printer {
+        Printer {
+            out: String::new(),
+            line: 1,
+            line_start: 0,
+            spans: record.then(Vec::new),
+        }
+    }
+
+    fn col(&self) -> u32 {
+        (self.out.len() - self.line_start) as u32 + 1
+    }
+
+    fn open(&mut self) -> Open {
+        let slot = match &mut self.spans {
+            Some(spans) => {
+                spans.push(Span::dummy());
+                spans.len() - 1
+            }
+            None => 0,
+        };
+        Open {
+            slot,
+            line: self.line,
+            col: self.col(),
+        }
+    }
+
+    fn close(&mut self, open: Open) {
+        let (end_line, end_col) = (self.line, self.col());
+        if let Some(spans) = &mut self.spans {
+            spans[open.slot] = Span::new(open.line, open.col, end_line, end_col);
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        self.line += 1;
+        self.line_start = self.out.len();
+    }
+
+    fn indent(&mut self, indent: usize) {
+        for _ in 0..indent {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn program(&mut self, program: &Program) {
+        for global in &program.globals {
+            let open = self.open();
+            let _ = write!(self.out, "{} {}", global.ty, global.name);
+            if let Some(init) = &global.init {
+                self.out.push_str(" = ");
+                self.expr(init, 0);
+            }
+            self.out.push(';');
+            self.close(open);
+            self.newline();
+        }
+        if !program.globals.is_empty() && !program.procs.is_empty() {
+            self.newline();
+        }
+        for (i, procedure) in program.procs.iter().enumerate() {
+            if i > 0 {
+                self.newline();
+            }
+            self.procedure(procedure);
+        }
+    }
+
+    fn procedure(&mut self, procedure: &Procedure) {
+        let open = self.open();
+        let _ = write!(self.out, "proc {}(", procedure.name);
+        for (i, param) in procedure.params.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let open = self.open();
+            let _ = write!(self.out, "{} {}", param.ty, param.name);
+            self.close(open);
+        }
+        self.out.push(')');
+        self.close(open);
+        self.out.push_str(" {");
+        self.newline();
+        self.block(&procedure.body, 1);
+        self.out.push('}');
+        self.newline();
+    }
+
+    fn block(&mut self, block: &Block, indent: usize) {
+        for stmt in &block.stmts {
+            self.indent(indent);
+            self.stmt(stmt, indent);
+        }
+    }
+
+    /// Writes `stmt` from the current position (its indent, if any, is
+    /// already written); nested lines are indented relative to `indent`.
+    fn stmt(&mut self, stmt: &Stmt, indent: usize) {
+        let open = self.open();
+        match &stmt.kind {
+            StmtKind::Decl { ty, name, init } => {
+                let _ = write!(self.out, "{ty} {name} = ");
+                self.expr(init, 0);
+                self.end_simple(open);
+            }
+            StmtKind::Assign { name, value } => {
+                let _ = write!(self.out, "{name} = ");
+                self.expr(value, 0);
+                self.end_simple(open);
+            }
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                self.header("if", cond, open);
+                self.block(then_branch, indent + 1);
+                self.indent(indent);
+                match else_branch {
+                    None => self.out.push('}'),
+                    // `else { if ... }` with a single nested if is the
+                    // parser's `else if` sugar: the nested if continues
+                    // this line.
+                    Some(else_block)
+                        if else_block.stmts.len() == 1
+                            && matches!(else_block.stmts[0].kind, StmtKind::If { .. }) =>
+                    {
+                        self.out.push_str("} else ");
+                        self.stmt(&else_block.stmts[0], indent);
+                        return;
+                    }
+                    Some(else_block) => {
+                        self.out.push_str("} else {");
+                        self.newline();
+                        self.block(else_block, indent + 1);
+                        self.indent(indent);
+                        self.out.push('}');
+                    }
                 }
-            } else {
-                write!(out, "{v}")
+                self.newline();
+            }
+            StmtKind::While { cond, body } => {
+                self.header("while", cond, open);
+                self.block(body, indent + 1);
+                self.indent(indent);
+                self.out.push('}');
+                self.newline();
+            }
+            StmtKind::Assert { cond, .. } => {
+                self.out.push_str("assert(");
+                self.expr(cond, 0);
+                self.out.push(')');
+                self.end_simple(open);
+            }
+            StmtKind::Assume { cond } => {
+                self.out.push_str("assume(");
+                self.expr(cond, 0);
+                self.out.push(')');
+                self.end_simple(open);
+            }
+            StmtKind::Skip => {
+                self.out.push_str("skip");
+                self.end_simple(open);
+            }
+            StmtKind::Return => {
+                self.out.push_str("return");
+                self.end_simple(open);
+            }
+            StmtKind::Call { callee, args } => {
+                let _ = write!(self.out, "{callee}(");
+                for (i, arg) in args.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(", ");
+                    }
+                    self.expr(arg, 0);
+                }
+                self.out.push(')');
+                self.end_simple(open);
             }
         }
-        ExprKind::Bool(b) => write!(out, "{b}"),
-        ExprKind::Var(name) => write!(out, "{name}"),
-        ExprKind::Unary { op, expr: inner } => {
-            match op {
-                UnOp::Neg => out.push('-'),
-                UnOp::Not => out.push('!'),
+    }
+
+    /// Ends a one-line statement: `;`, its span, the line break.
+    fn end_simple(&mut self, open: Open) {
+        self.out.push(';');
+        self.close(open);
+        self.newline();
+    }
+
+    /// `keyword (cond) {` — the statement's span covers the header up to
+    /// the closing parenthesis.
+    fn header(&mut self, keyword: &str, cond: &Expr, open: Open) {
+        self.out.push_str(keyword);
+        self.out.push_str(" (");
+        self.expr(cond, 0);
+        self.out.push(')');
+        self.close(open);
+        self.out.push_str(" {");
+        self.newline();
+    }
+
+    /// Writes `expr`, parenthesized when it binds looser than `min_prec`.
+    /// Its span runs from its first character (an opening parenthesis
+    /// included) to its last, as the parser's spans do.
+    fn expr(&mut self, expr: &Expr, min_prec: u8) {
+        let open = self.open();
+        match &expr.kind {
+            ExprKind::Int(v) if *v < 0 => {
+                // Negative literals only arise in built ASTs; they re-parse
+                // as a negation of the magnitude, so parenthesize under
+                // tight contexts and give the magnitude its own span.
+                let parens = min_prec >= 6;
+                if parens {
+                    self.out.push('(');
+                }
+                self.out.push('-');
+                let magnitude = self.open();
+                let _ = write!(self.out, "{}", v.unsigned_abs());
+                self.close(magnitude);
+                if parens {
+                    self.out.push(')');
+                }
             }
-            // Unary binds tighter than all binary operators (level 6).
-            write_expr(inner, 6, out)
+            ExprKind::Int(v) => {
+                let _ = write!(self.out, "{v}");
+            }
+            ExprKind::Bool(b) => {
+                let _ = write!(self.out, "{b}");
+            }
+            ExprKind::Var(name) => self.out.push_str(name),
+            ExprKind::Unary { op, expr: inner } => {
+                self.out.push(match op {
+                    UnOp::Neg => '-',
+                    UnOp::Not => '!',
+                });
+                // Unary binds tighter than all binary operators (level 6).
+                self.expr(inner, 6);
+            }
+            ExprKind::Binary { op, lhs, rhs } => {
+                let prec = precedence(*op);
+                let parens = prec < min_prec;
+                if parens {
+                    self.out.push('(');
+                }
+                // Left-associative: the left child may be at the same level,
+                // the right child must bind strictly tighter. Comparisons are
+                // non-associative, so both children must bind strictly
+                // tighter.
+                let (left_min, right_min) = if op.is_equality() || op.is_ordering() {
+                    (prec + 1, prec + 1)
+                } else {
+                    (prec, prec + 1)
+                };
+                self.expr(lhs, left_min);
+                let _ = write!(self.out, " {op} ");
+                self.expr(rhs, right_min);
+                if parens {
+                    self.out.push(')');
+                }
+            }
         }
-        ExprKind::Binary { op, lhs, rhs } => {
-            let prec = precedence(*op);
-            let needs_parens = prec < min_prec;
-            if needs_parens {
-                out.push('(');
+        self.close(open);
+    }
+}
+
+/// The next recorded span, in the printer's pre-order.
+fn next_span(spans: &mut impl Iterator<Item = Span>) -> Span {
+    spans.next().expect("the printer records one span per node")
+}
+
+/// Assigns recorded spans to `program`'s nodes in the order
+/// [`Printer::program`] opened them.
+fn respan_program(program: &mut Program, spans: &mut impl Iterator<Item = Span>) {
+    for global in &mut program.globals {
+        global.span = next_span(spans);
+        if let Some(init) = &mut global.init {
+            respan_expr(init, spans);
+        }
+    }
+    for procedure in &mut program.procs {
+        procedure.span = next_span(spans);
+        for param in &mut procedure.params {
+            param.span = next_span(spans);
+        }
+        respan_block(&mut procedure.body, spans);
+    }
+}
+
+fn respan_block(block: &mut Block, spans: &mut impl Iterator<Item = Span>) {
+    for stmt in &mut block.stmts {
+        stmt.span = next_span(spans);
+        match &mut stmt.kind {
+            StmtKind::Decl { init: expr, .. }
+            | StmtKind::Assign { value: expr, .. }
+            | StmtKind::Assert { cond: expr, .. }
+            | StmtKind::Assume { cond: expr } => respan_expr(expr, spans),
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                respan_expr(cond, spans);
+                respan_block(then_branch, spans);
+                if let Some(else_block) = else_branch {
+                    respan_block(else_block, spans);
+                }
             }
-            // Left-associative: the left child may be at the same level, the
-            // right child must bind strictly tighter. Comparisons are
-            // non-associative, so both children must bind strictly tighter.
-            let (left_min, right_min) = if op.is_equality() || op.is_ordering() {
-                (prec + 1, prec + 1)
-            } else {
-                (prec, prec + 1)
+            StmtKind::While { cond, body } => {
+                respan_expr(cond, spans);
+                respan_block(body, spans);
+            }
+            StmtKind::Call { args, .. } => {
+                for arg in args {
+                    respan_expr(arg, spans);
+                }
+            }
+            StmtKind::Skip | StmtKind::Return => {}
+        }
+    }
+}
+
+fn respan_expr(expr: &mut Expr, spans: &mut impl Iterator<Item = Span>) {
+    expr.span = next_span(spans);
+    match &mut expr.kind {
+        ExprKind::Int(v) if *v < 0 => {
+            let magnitude = Expr::with_span(ExprKind::Int(v.wrapping_neg()), next_span(spans));
+            expr.kind = ExprKind::Unary {
+                op: UnOp::Neg,
+                expr: Box::new(magnitude),
             };
-            write_expr(lhs, left_min, out)?;
-            write!(out, " {op} ")?;
-            write_expr(rhs, right_min, out)?;
-            if needs_parens {
-                out.push(')');
-            }
-            Ok(())
         }
+        ExprKind::Unary { expr: inner, .. } => respan_expr(inner, spans),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            respan_expr(lhs, spans);
+            respan_expr(rhs, spans);
+        }
+        ExprKind::Int(_) | ExprKind::Bool(_) | ExprKind::Var(_) => {}
     }
 }
 
@@ -334,6 +586,74 @@ proc update(int PedalPos, int BSwitch, int PedalCmd) {
 ";
         let p = parse_program(src).unwrap();
         assert_eq!(pretty_program(&p), src);
+    }
+
+    /// A four-link `else if` chain ending in a plain `else` block, with
+    /// compound statements nested in its arms.
+    const DEEP_CHAIN: &str = "proc f(int x) {
+  if (x == 0) {
+    x = 1;
+  } else if (x == 1) {
+    if (x > 0) {
+      x = 2;
+    } else if (x < 0) {
+      skip;
+    }
+  } else if (x == 2) {
+    while (x > 0) {
+      x = x - 1;
+    }
+  } else if (x == 3) {
+    assert(x == 3);
+  } else if (x == 4) {
+    x = -x;
+  } else {
+    if (x > 10) {
+      x = 10;
+    } else {
+      x = x + 1;
+    }
+    assume(x != 4);
+  }
+  x = 0;
+}
+";
+
+    #[test]
+    fn deep_else_if_chain_prints_verbatim() {
+        let p = parse_program(DEEP_CHAIN).unwrap();
+        assert_eq!(pretty_program(&p), DEEP_CHAIN);
+        // A chain printed on its own at a deeper indent keeps its shape.
+        let nested = pretty_stmt(&p.procs[0].body.stmts[0], 2);
+        let expected: String = DEEP_CHAIN
+            .lines()
+            .skip(1)
+            .take_while(|line| *line != "  x = 0;")
+            .map(|line| format!("  {line}\n"))
+            .collect();
+        assert_eq!(nested, expected);
+    }
+
+    #[test]
+    fn layout_gives_the_spans_of_a_parse() {
+        let parsed = parse_program(DEEP_CHAIN).unwrap();
+        let mut laid_out = parsed.clone();
+        assert_eq!(layout_program(&mut laid_out), DEEP_CHAIN);
+        assert_eq!(laid_out, parsed);
+        // Globals and parameters get their spans too, from dummy ones.
+        let source = "int g = 2;\nbool b;\n\nproc f(int x, bool y) {\n  skip;\n}\n";
+        let expected = parse_program(source).unwrap();
+        let mut program = expected.clone();
+        for global in &mut program.globals {
+            global.span = Span::dummy();
+        }
+        for param in &mut program.procs[0].params {
+            param.span = Span::dummy();
+        }
+        program.procs[0].span = Span::dummy();
+        program.procs[0].body.stmts[0].span = Span::dummy();
+        assert_eq!(layout_program(&mut program), source);
+        assert_eq!(program, expected);
     }
 
     #[test]

@@ -356,7 +356,8 @@ impl SymbolicSummary {
 #[derive(Debug, Clone)]
 pub struct Executor {
     proc_name: String,
-    cfg: Cfg,
+    /// Shared with the analysis session that built it, if any.
+    cfg: Arc<Cfg>,
     init_env: Env,
     inputs: Vec<(String, SymVar)>,
     pool: VarPool,
@@ -379,22 +380,46 @@ impl Executor {
     /// # Errors
     ///
     /// [`ExecError::MissingProcedure`] if the procedure does not exist;
+    /// [`ExecError::ContainsCalls`] if it has not been inlined;
     /// [`ExecError::Eval`] if a global initializer is unevaluable.
     pub fn new(
         program: &Program,
         proc_name: &str,
         config: ExecConfig,
     ) -> Result<Executor, ExecError> {
-        let procedure = program
-            .proc(proc_name)
-            .ok_or_else(|| ExecError::MissingProcedure(proc_name.to_string()))?;
-        if dise_ir::inline::contains_calls(program, proc_name) {
-            return Err(ExecError::ContainsCalls(proc_name.to_string()));
-        }
-        let cfg = build_cfg(procedure);
+        let procedure = call_free_procedure(program, proc_name)?;
+        let cfg = Arc::new(build_cfg(procedure));
+        Executor::from_procedure(program, procedure, cfg, config)
+    }
+
+    /// [`Executor::new`] over a CFG the caller has already built with
+    /// [`build_cfg`] from the same procedure — the analysis session hands
+    /// in its `cfg_mod`, so the version is built once and the executor
+    /// shares it instead of rebuilding it.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Executor::new`] reports.
+    pub fn with_cfg(
+        program: &Program,
+        proc_name: &str,
+        cfg: Arc<Cfg>,
+        config: ExecConfig,
+    ) -> Result<Executor, ExecError> {
+        let procedure = call_free_procedure(program, proc_name)?;
+        debug_assert_eq!(cfg.proc_name(), proc_name, "the CFG of another procedure");
+        Executor::from_procedure(program, procedure, cfg, config)
+    }
+
+    fn from_procedure(
+        program: &Program,
+        procedure: &dise_ir::Procedure,
+        cfg: Arc<Cfg>,
+        config: ExecConfig,
+    ) -> Result<Executor, ExecError> {
         let (env, inputs, pool) = toplevel_env(program, procedure)?;
         Ok(Executor::from_parts(
-            proc_name.to_string(),
+            procedure.name.clone(),
             cfg,
             env,
             inputs,
@@ -434,8 +459,14 @@ impl Executor {
             }
         }
         let (env, inputs, pool) = toplevel_env(program, procedure)?;
-        let mut executor =
-            Executor::from_parts(proc_name.to_string(), cfg, env, inputs, pool, config);
+        let mut executor = Executor::from_parts(
+            proc_name.to_string(),
+            Arc::new(cfg),
+            env,
+            inputs,
+            pool,
+            config,
+        );
         executor.summaries = Some(summaries);
         Ok(executor)
     }
@@ -445,7 +476,7 @@ impl Executor {
     /// not produce).
     pub(crate) fn from_parts(
         proc_name: String,
-        cfg: Cfg,
+        cfg: Arc<Cfg>,
         init_env: Env,
         inputs: Vec<(String, SymVar)>,
         pool: VarPool,
@@ -583,6 +614,20 @@ impl Executor {
             tree,
         }
     }
+}
+
+/// Looks up `proc_name`, which must be call-free (inlined).
+fn call_free_procedure<'p>(
+    program: &'p Program,
+    proc_name: &str,
+) -> Result<&'p dise_ir::Procedure, ExecError> {
+    let procedure = program
+        .proc(proc_name)
+        .ok_or_else(|| ExecError::MissingProcedure(proc_name.to_string()))?;
+    if dise_ir::inline::contains_calls(program, proc_name) {
+        return Err(ExecError::ContainsCalls(proc_name.to_string()));
+    }
+    Ok(procedure)
 }
 
 /// The entry environment, the named symbolic inputs, and the pool that

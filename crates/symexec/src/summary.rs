@@ -304,7 +304,7 @@ pub fn build_summary(
     let inputs: Vec<_> = formals.iter().chain(globals.iter()).cloned().collect();
     let mut executor = Executor::from_parts(
         callee.to_string(),
-        dise_cfg::build_cfg(procedure),
+        Arc::new(dise_cfg::build_cfg(procedure)),
         env,
         inputs,
         pool,

@@ -155,6 +155,81 @@ fn traced_session_records_the_stage_hierarchy() {
         result.summary.stats().solver.pipeline_checks(),
         "stage.explore must attribute every pipeline solver check"
     );
+    // The diff stage times its three steps. fig2 is call-free, so the
+    // flatten stage passes it through without children.
+    assert_eq!(
+        children_of(&spans, "stage.diff"),
+        ["diff.stmt", "diff.cfg", "diff.map"]
+    );
+    assert!(children_of(&spans, "stage.flatten").is_empty());
+
+    // With calls, each version is expanded, then laid out.
+    let base = dise::ir::parse_program(INTERPROC_BASE).expect("fixture parses");
+    let modified = dise::ir::parse_program(&INTERPROC_BASE.replace("cmd > 100", "cmd > 95"))
+        .expect("fixture parses");
+    let tracer = Arc::new(Tracer::new());
+    let mut config = DiseConfig::default();
+    config.exec.tracer = Some(TraceHandle::new(tracer.clone()));
+    let mut session =
+        AnalysisSession::open(&base, &modified, "main", config).expect("session opens");
+    session.result().expect("pipeline runs");
+    session.finalize();
+    let events = tracer.events();
+    let spans = spans_of(&events);
+    assert_eq!(
+        children_of(&spans, "stage.flatten"),
+        [
+            "flatten.expand",
+            "flatten.layout",
+            "flatten.expand",
+            "flatten.layout"
+        ]
+    );
+    assert_eq!(
+        children_of(&spans, "stage.diff"),
+        ["diff.stmt", "diff.cfg", "diff.map"]
+    );
+}
+
+/// The CI workflow's interprocedural fixture.
+const INTERPROC_BASE: &str = "int Pressure = 0;
+int Warnings = 0;
+proc apply_brake(int cmd) {
+  if (cmd > 100) {
+    Pressure = 3000;
+  } else {
+    Pressure = cmd * 30;
+  }
+}
+proc check_limits(int threshold) {
+  if (Pressure > threshold) {
+    Warnings = Warnings + 1;
+  }
+}
+proc main(int left, int right) {
+  apply_brake(left);
+  check_limits(2500);
+  apply_brake(right);
+  check_limits(2900);
+}
+";
+
+/// Names of the spans directly under the one span called `parent`, in
+/// start order.
+fn children_of<'a>(spans: &[&'a SpanRecord], parent: &str) -> Vec<&'a str> {
+    let parents: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == parent)
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(parents.len(), 1, "one {parent} span");
+    let mut children: Vec<&SpanRecord> = spans
+        .iter()
+        .copied()
+        .filter(|s| s.parent == Some(parents[0]))
+        .collect();
+    children.sort_by_key(|s| (s.start_ns, s.id));
+    children.iter().map(|s| s.name.as_str()).collect()
 }
 
 #[test]
