@@ -49,8 +49,10 @@
 //!     Run the pipeline with tracing enabled and print the hierarchical
 //!     span tree — per-stage wall clock with solver-call and cache-hit
 //!     attribution — plus how many pipeline solver checks the named
-//!     stages account for. --full also profiles the full exploration
-//!     (summary builds included).
+//!     stages account for, and the directed explore stage split into
+//!     solver / filter / stepping time with its cost per state. --full
+//!     also profiles the full exploration (summary builds included) and
+//!     prints its cost per state.
 //!
 //! dise trace validate <FILE>
 //!     Check a `--trace-json` log against the trace-event schema.
@@ -139,8 +141,8 @@ use std::sync::Arc;
 use dise_core::dise::DiseConfig;
 use dise_core::metrics::{exec_registry, result_registry, stage_registry};
 use dise_core::report::{
-    duration_mmss, explore_split_line, solver_stats_line, stage_stats_line, store_stats_line,
-    summary_stats_line, verdict_pc_block,
+    duration_mmss, explore_split_line, full_explore_line, solver_stats_line, stage_stats_line,
+    store_stats_line, summary_stats_line, verdict_pc_block,
 };
 use dise_core::session::AnalysisSession;
 use dise_core::DataflowPrecision;
@@ -498,7 +500,8 @@ fn print_hop(
 
 /// `dise profile` — run the pipeline with tracing on and print the
 /// hierarchical span tree, then account for how many pipeline solver
-/// checks landed inside a named stage span.
+/// checks landed inside a named stage span, and print the explore
+/// split and the per-state cost of each exploration.
 fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     for flag in flags {
         if *flag != "--full" {
@@ -516,11 +519,16 @@ fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
     let mut session =
         AnalysisSession::open(&base, &modified, proc_name, config).map_err(|e| e.to_string())?;
     let result = session.result().map_err(|e| e.to_string())?;
-    let split = explore_split_line(&stage_registry(&result.stages));
+    let split = explore_split_line(
+        &stage_registry(&result.stages),
+        result.summary.stats().states_explored,
+    );
     let mut total = result.summary.stats().solver.pipeline_checks();
+    let mut full_line = None;
     if flags.contains(&"--full") {
-        let full = session.modified_full().map_err(|e| e.to_string())?;
-        total += full.stats().solver.pipeline_checks();
+        let full = session.modified_full().map_err(|e| e.to_string())?.stats();
+        total += full.solver.pipeline_checks();
+        full_line = Some(full_explore_line(full.elapsed, full.states_explored));
     }
     session.finalize();
     let events = tracer.events();
@@ -554,6 +562,9 @@ fn profile_command(positional: &[&str], flags: &[&str]) -> Result<(), String> {
         "attribution: {attributed} of {total} pipeline solver checks attributed to stage spans ({share})"
     );
     println!("explore split: {split}");
+    if let Some(line) = full_line {
+        println!("full explore: {line}");
+    }
     Ok(())
 }
 

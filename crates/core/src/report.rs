@@ -3,6 +3,7 @@
 //! plus the solver-activity line for the CLI.
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 use dise_cfg::NodeId;
 use dise_trace::MetricsRegistry;
@@ -190,22 +191,40 @@ pub fn stage_stats_line(reg: &MetricsRegistry) -> String {
 /// One-line split of the explore stage for `dise profile`: time spent on
 /// the solver (pushing, deciding and popping branch literals), in the
 /// strategy's filter, and stepping states (the remainder), in
-/// milliseconds. Reads the `stage.explore*` metrics of a registry built by
+/// milliseconds, then the stage's cost per explored state. Reads the
+/// `stage.explore*` metrics of a registry built by
 /// [`crate::metrics::stage_registry`]; the split is only measured on
-/// traced runs.
-pub fn explore_split_line(reg: &MetricsRegistry) -> String {
+/// traced runs. `states` is the directed run's explored-state count.
+pub fn explore_split_line(reg: &MetricsRegistry, states: u64) -> String {
     let explore = reg.counter("stage.explore_ns");
     let solver = reg.counter("stage.explore.solver_ns");
     let filter = reg.counter("stage.explore.filter_ns");
     let stepping = explore.saturating_sub(solver + filter);
     let ms = |ns: u64| format!("{:.1}", ns as f64 / 1e6);
     format!(
-        "solver {} ms, filter {} ms, stepping {} ms (of {} ms)",
+        "solver {} ms, filter {} ms, stepping {} ms (of {} ms), {}",
         ms(solver),
         ms(filter),
         ms(stepping),
         ms(explore),
+        per_state(explore, states),
     )
+}
+
+/// One-line cost of a full exploration for `dise profile --full`: its
+/// elapsed time and the time per explored state.
+pub fn full_explore_line(elapsed: Duration, states: u64) -> String {
+    let ns = elapsed.as_nanos() as u64;
+    format!("{:.1} ms, {}", ns as f64 / 1e6, per_state(ns, states))
+}
+
+/// `ns` spread over `states` states, in microseconds per state.
+fn per_state(ns: u64, states: u64) -> String {
+    let us = match states {
+        0 => 0.0,
+        _ => ns as f64 / 1e3 / states as f64,
+    };
+    format!("{us:.2} µs/state over {states} states")
 }
 
 /// One-line summary of persistent-store activity for the CLI: what was
@@ -311,7 +330,6 @@ mod tests {
     fn stage_stats_line_prints_milliseconds() {
         use crate::metrics::stage_registry;
         use crate::session::StageTimings;
-        use std::time::Duration;
         let stages = StageTimings {
             flatten: Duration::from_micros(150),
             diff: Duration::from_millis(2),
@@ -332,7 +350,6 @@ mod tests {
     fn explore_split_line_reports_the_remainder_as_stepping() {
         use crate::metrics::stage_registry;
         use crate::session::StageTimings;
-        use std::time::Duration;
         let stages = StageTimings {
             explore: Duration::from_millis(30),
             explore_solver: Duration::from_millis(12),
@@ -340,9 +357,16 @@ mod tests {
             ..StageTimings::default()
         };
         assert_eq!(
-            explore_split_line(&stage_registry(&stages)),
-            "solver 12.0 ms, filter 2.5 ms, stepping 15.5 ms (of 30.0 ms)"
+            explore_split_line(&stage_registry(&stages), 4000),
+            "solver 12.0 ms, filter 2.5 ms, stepping 15.5 ms (of 30.0 ms), \
+             7.50 µs/state over 4000 states"
         );
+        assert_eq!(
+            full_explore_line(Duration::from_micros(8800), 1100),
+            "8.8 ms, 8.00 µs/state over 1100 states"
+        );
+        assert!(explore_split_line(&stage_registry(&stages), 0)
+            .ends_with("0.00 µs/state over 0 states"));
     }
 
     #[test]

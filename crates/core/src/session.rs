@@ -170,8 +170,9 @@ pub struct AnalysisSession {
     modified: Program,
     /// The modified version as handed in, calls intact — the program the
     /// summary-mode full exploration runs on (the directed pipeline only
-    /// ever sees the flattened versions above).
-    raw_modified: Program,
+    /// ever sees the flattened versions above). Kept only when that
+    /// exploration applies (`summaries::applicable`); `None` otherwise.
+    raw_modified: Option<Program>,
     timings: StageTimings,
 
     // Persistent-store state, loaded at open, recorded at finalize.
@@ -233,7 +234,7 @@ impl AnalysisSession {
         let stage = open_stage(tracer, root.as_ref(), "stage.flatten");
         let children = stage.as_ref().map(|(_, h)| h);
         let start = Instant::now();
-        let raw_modified = modified.clone();
+        let raw_modified = summarizable(modified, proc_name, &config);
         let base = flatten(base, proc_name, children)?.into_owned();
         let modified = flatten(modified, proc_name, children)?.into_owned();
         let flatten_time = start.elapsed();
@@ -254,12 +255,12 @@ impl AnalysisSession {
     /// [`AnalysisSession::open`] for already-flattened programs (chain
     /// hops reuse the previous hop's flattened modified version as the
     /// next base without re-inlining). `raw_modified` is the modified
-    /// version with calls intact, kept for the summary-mode full
-    /// exploration.
+    /// version with calls intact, kept only for the summary-mode full
+    /// exploration ([`summarizable`]).
     fn open_flat(
         base: Program,
         modified: Program,
-        raw_modified: Program,
+        raw_modified: Option<Program>,
         proc_name: &str,
         config: DiseConfig,
         flatten_time: Duration,
@@ -357,10 +358,11 @@ impl AnalysisSession {
         if let Some((span, h)) = stage {
             h.end(span);
         }
+        let raw_next = summarizable(next, &self.proc_name, &self.config);
         let mut session = Self::open_flat(
             self.modified,
             next_flat,
-            next.clone(),
+            raw_next,
             &self.proc_name,
             self.config,
             flatten_time,
@@ -715,19 +717,17 @@ impl AnalysisSession {
 
     /// The Summarized stage: full exploration of the raw modified version
     /// with calls dispatched through procedure summaries. `None` — the
-    /// caller inlines instead — when the gates refuse or any callee
-    /// cannot be summarized.
+    /// caller inlines instead — when the gates refused at open (no raw
+    /// version was kept) or any callee cannot be summarized.
     fn summarized_full(&mut self, exec: &ExecConfig) -> Option<SymbolicSummary> {
-        if !crate::summaries::applicable(&self.raw_modified, &self.proc_name, exec) {
-            return None;
-        }
+        let raw_modified = self.raw_modified.as_ref()?;
         let stored = self
             .prior
             .as_ref()
             .map_or(&[][..], |e| e.summaries.as_slice());
         let prepare_span = exec.tracer.as_ref().map(|h| h.begin("summary.prepare"));
         let prepared = crate::summaries::prepare(
-            &self.raw_modified,
+            raw_modified,
             &self.proc_name,
             &reparented(exec, &prepare_span),
             stored,
@@ -749,7 +749,7 @@ impl AnalysisSession {
         }
         let prepared = prepared?;
         let summary = crate::summaries::full_with_summaries(
-            &self.raw_modified,
+            raw_modified,
             &self.proc_name,
             exec,
             Arc::clone(&prepared.table),
@@ -941,6 +941,15 @@ pub(crate) fn flatten<'p>(
     let mut flat = in_span(trace, "flatten.expand", || expand_calls(program, proc_name))?;
     in_span(trace, "flatten.layout", || layout_program(&mut flat));
     Ok(Cow::Owned(flat))
+}
+
+/// A copy of `program`, calls intact, when the summary-mode full
+/// exploration applies to it under `config`: the only reader of that
+/// copy. `None` otherwise, so a session that can never summarize
+/// (`SummaryMode::Off`, a call-free program, a depth or state bound)
+/// copies nothing.
+fn summarizable(program: &Program, proc_name: &str, config: &DiseConfig) -> Option<Program> {
+    crate::summaries::applicable(program, proc_name, &config.exec).then(|| program.clone())
 }
 
 /// Runs `f` inside a span called `name` when a trace handle is given.

@@ -24,17 +24,9 @@ impl PathCondition {
         PathCondition::default()
     }
 
-    /// Returns a new path condition extended with `constraint`.
-    ///
-    /// Constant `true` conjuncts are dropped; everything else is appended
-    /// in order (order is part of the canonical display).
-    pub fn and(&self, constraint: SymExpr) -> PathCondition {
-        let mut extended = self.clone();
-        extended.push(constraint);
-        extended
-    }
-
-    /// Appends `constraint` in place (same normalization as [`Self::and`]).
+    /// Appends `constraint` in place. Constant `true` conjuncts are
+    /// dropped; everything else is appended in order (order is part of
+    /// the canonical display).
     pub fn push(&mut self, constraint: SymExpr) {
         if constraint.as_bool() == Some(true) {
             return;
@@ -117,22 +109,22 @@ mod tests {
     fn and_accumulates_in_order() {
         let mut pool = VarPool::new();
         let x = pool.fresh("X", SymTy::Int);
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)))
-            .and(SymExpr::le(SymExpr::var(&x), SymExpr::int(9)));
+        let mut pc = PathCondition::new();
+        pc.push(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)));
+        pc.push(SymExpr::le(SymExpr::var(&x), SymExpr::int(9)));
         assert_eq!(pc.len(), 2);
         assert_eq!(pc.to_string(), "X > 0 && X <= 9");
     }
 
     #[test]
     fn true_conjuncts_are_dropped() {
-        let pc = PathCondition::new().and(SymExpr::boolean(true));
+        let pc: PathCondition = [SymExpr::boolean(true)].into_iter().collect();
         assert!(pc.is_empty());
     }
 
     #[test]
     fn false_is_detected() {
-        let pc = PathCondition::new().and(SymExpr::boolean(false));
+        let pc: PathCondition = [SymExpr::boolean(false)].into_iter().collect();
         assert!(pc.has_false());
         assert_eq!(pc.to_string(), "false");
     }
@@ -142,7 +134,9 @@ mod tests {
         let mut pool = VarPool::new();
         let a = pool.fresh("A", SymTy::Bool);
         let b = pool.fresh("B", SymTy::Bool);
-        let pc = PathCondition::new().and(SymExpr::or(SymExpr::var(&a), SymExpr::var(&b)));
+        let pc: PathCondition = [SymExpr::or(SymExpr::var(&a), SymExpr::var(&b))]
+            .into_iter()
+            .collect();
         assert_eq!(pc.to_string(), "(A || B)");
     }
 

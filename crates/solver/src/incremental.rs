@@ -13,7 +13,13 @@
 //!   are kept on a shared undo stack; a `pop` truncates in O(frame size).
 //! * **Model reuse** — the common DFS step extends a known-SAT prefix by
 //!   one literal. If the parent frame's verified model already satisfies
-//!   the new literal, `check` answers SAT with zero search.
+//!   the new literal, `check` answers SAT with zero search. The parent
+//!   model satisfies every literal below, so a check evaluates only the
+//!   new literal and the literals that read a variable the candidate
+//!   changes (an index from each variable to its reading literals); the
+//!   same holds for verifying a searched model against a SAT parent.
+//!   Models and interval fixed points are shared (`Arc`) between frames
+//!   and the trie, never copied per check.
 //! * **Prefix trie** — verdicts are memoized in a trie keyed by the
 //!   `TermId` path. A re-checked prefix is answered without solving, and
 //!   an UNSAT ancestor kills every extension instantly.
@@ -36,24 +42,28 @@
 //! `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::intern::{Interner, TermId};
 use crate::linear::LinAtom;
-use crate::model::{Model, Value};
+use crate::model::{eval_in, Model, Value};
 use crate::snapshot::{Bounds, TrieEntry, TrieSnapshot};
 use crate::solve::{
-    classify, decide_conjunction, flatten_conjunct, nnf, split_alternatives, CaseVerdict,
-    Classified, SatResult, SolverConfig, SolverStats,
+    classify, decide_conjunction, default_value, flatten_conjunct, nnf, split_alternatives,
+    CaseVerdict, Classified, Originals, Readers, SatResult, SolverConfig, SolverStats,
 };
-use crate::sym::{SymExpr, SymTy, SymVar};
+use crate::sym::{SymExpr, SymVar};
+
+/// The interval fixed point of the empty path.
+static EMPTY_BOUNDS: Bounds = BTreeMap::new();
 
 /// One node of the prefix trie: verdicts memoized per `TermId` path.
 #[derive(Debug, Clone, Default)]
 struct TrieNode {
     children: HashMap<TermId, usize>,
     verdict: Option<SatResult>,
-    model: Option<Model>,
-    bounds: Option<Bounds>,
+    model: Option<Arc<Model>>,
+    bounds: Option<Arc<Bounds>>,
 }
 
 /// One frame of the solver stack: the pushed literal plus the undo
@@ -71,16 +81,21 @@ struct Frame {
     /// All variable ids mentioned by this frame's literal (drives the
     /// pinned partial search: everything else keeps the parent's value).
     lit_vars: Vec<u32>,
+    /// Every variable id the literal reads as pushed, before
+    /// normalization: this frame's entries in the `readers` index.
+    reads: Vec<u32>,
     /// Boolean assignments made by this frame: `(id, previous value)`.
     bool_undo: Vec<(u32, Option<bool>)>,
     /// The literal (or a boolean conflict) is a contradiction.
     contradiction: bool,
     /// Verdict computed at this depth, if `check` ran.
     verdict: Option<SatResult>,
-    /// Verified model at this depth (present when the verdict is SAT).
-    model: Option<Model>,
-    /// Interval fixed point at this depth (seeds the child's propagation).
-    bounds: Option<Bounds>,
+    /// Verified model at this depth (present when the verdict is SAT),
+    /// shared with the trie and with a child that reuses it unchanged.
+    model: Option<Arc<Model>>,
+    /// Interval fixed point at this depth (seeds the child's
+    /// propagation), shared with the trie.
+    bounds: Option<Arc<Bounds>>,
 }
 
 /// Incremental path-condition solver with push/pop/check and a prefix
@@ -97,6 +112,10 @@ pub struct IncrementalSolver {
     residuals: Vec<SymExpr>,
     bools: BTreeMap<u32, bool>,
     vars: BTreeMap<u32, SymVar>,
+    /// For every variable a stacked literal reads, the stack indices of
+    /// those literals: a model that changes a few variables of a verified
+    /// one is re-checked against their readers only.
+    readers: HashMap<u32, Readers>,
     trie: Vec<TrieNode>,
     /// Shallowest frame known to be UNSAT (contradiction or verdict).
     unsat_depth: Option<usize>,
@@ -126,6 +145,7 @@ impl IncrementalSolver {
             residuals: Vec::new(),
             bools: BTreeMap::new(),
             vars: BTreeMap::new(),
+            readers: HashMap::new(),
             trie: vec![TrieNode::default()],
             unsat_depth: None,
             stats: SolverStats::default(),
@@ -150,10 +170,7 @@ impl IncrementalSolver {
     /// The verified model at the current depth, when the last `check` at
     /// this depth answered SAT.
     pub fn model(&self) -> Option<&Model> {
-        match self.frames.last() {
-            Some(frame) => frame.model.as_ref(),
-            None => None,
-        }
+        self.frames.last()?.model.as_deref()
     }
 
     /// Pops every frame (the stack returns to the empty path condition
@@ -174,6 +191,7 @@ impl IncrementalSolver {
             residual_len: self.residuals.len(),
             new_vars: Vec::new(),
             lit_vars: Vec::new(),
+            reads: Vec::new(),
             bool_undo: Vec::new(),
             contradiction: false,
             verdict: None,
@@ -220,6 +238,19 @@ impl IncrementalSolver {
         if frame.contradiction && self.unsat_depth.is_none() {
             self.unsat_depth = Some(self.frames.len());
         }
+        let mut reads = BTreeMap::new();
+        lit.collect_vars(&mut reads);
+        for (id, var) in reads {
+            self.readers
+                .entry(id)
+                .or_insert_with(|| Readers {
+                    var,
+                    lits: Vec::new(),
+                })
+                .lits
+                .push(self.frames.len());
+            frame.reads.push(id);
+        }
         self.lits.push(lit);
         self.frames.push(frame);
     }
@@ -235,6 +266,14 @@ impl IncrementalSolver {
         self.residuals.truncate(frame.residual_len);
         for id in &frame.new_vars {
             self.vars.remove(id);
+        }
+        for id in &frame.reads {
+            if let Some(readers) = self.readers.get_mut(id) {
+                readers.lits.pop();
+                if readers.lits.is_empty() {
+                    self.readers.remove(id);
+                }
+            }
         }
         for (id, previous) in frame.bool_undo.iter().rev() {
             match previous {
@@ -252,7 +291,9 @@ impl IncrementalSolver {
     }
 
     /// Pushes `lit` and, when `model` satisfies *every* literal on the
-    /// extended stack by direct evaluation, records a verified SAT verdict
+    /// extended stack by direct evaluation (against a SAT parent frame,
+    /// only the new literal and the readers of the variables `model`
+    /// changes are evaluated), records a verified SAT verdict
     /// at the new depth without running any decision pipeline — the trie
     /// still learns the verdict, so later re-checks of this prefix are
     /// ordinary prefix hits.
@@ -269,14 +310,22 @@ impl IncrementalSolver {
     pub fn push_verified(&mut self, lit: SymExpr, model: &Model) -> bool {
         self.push(lit);
         let top = self.frames.len() - 1;
-        if self.frames[top].contradiction
-            || self.unsat_depth.is_some()
-            || !self.lits.iter().all(|l| model.satisfies(l))
+        let parent = top
+            .checked_sub(1)
+            .map(|i| &self.frames[i])
+            .filter(|frame| frame.verdict == Some(SatResult::Sat))
+            .and_then(|frame| frame.model.as_deref());
+        let originals = Originals {
+            lits: &self.lits,
+            readers: &self.readers,
+            parent,
+        };
+        if self.frames[top].contradiction || self.unsat_depth.is_some() || !originals.verify(model)
         {
             return false;
         }
         self.stats.assumed_sat += 1;
-        self.conclude(top, SatResult::Sat, Some(model.clone()), None);
+        self.conclude(top, SatResult::Sat, Some(Arc::new(model.clone())), None);
         true
     }
 
@@ -345,7 +394,7 @@ impl IncrementalSolver {
             CaseVerdict::Unknown => (SatResult::Unknown, None),
         };
         self.stats.incremental_checks += 1;
-        let bounds = bounds.filter(|_| verdict != SatResult::Unsat);
+        let bounds = bounds.filter(|_| verdict != SatResult::Unsat).map(Arc::new);
         self.conclude(top, verdict, model, bounds)
     }
 
@@ -360,19 +409,24 @@ impl IncrementalSolver {
         // defaults for this frame's fresh variables) already satisfy the
         // whole path? This is the common DFS step — a SAT prefix extended
         // by a literal the old model happens to satisfy.
-        if let Some(candidate) = self.reuse_candidate(top) {
-            if self.lits.iter().all(|lit| candidate.satisfies(lit)) {
-                self.stats.model_reuse_hits += 1;
-                return (CaseVerdict::Sat(candidate), None);
-            }
+        if let Some(model) = self.reuse(top) {
+            self.stats.model_reuse_hits += 1;
+            return (CaseVerdict::Sat(model), None);
         }
 
         // Full per-frame decision, seeded with the parent's interval fixed
         // point (sound: the parent's bounds over-approximate the prefix's
         // solutions and this system only adds constraints).
-        let parent_bounds = match top {
-            0 => BTreeMap::new(),
-            _ => self.frames[top - 1].bounds.clone().unwrap_or_default(),
+        let parent = top.checked_sub(1).map(|i| &self.frames[i]);
+        let parent_bounds = parent.and_then(|frame| frame.bounds.clone());
+        let parent_bounds = parent_bounds.as_deref().unwrap_or(&EMPTY_BOUNDS);
+        let parent_model = parent
+            .filter(|frame| frame.verdict == Some(SatResult::Sat))
+            .and_then(|frame| frame.model.clone());
+        let originals = Originals {
+            lits: &self.lits,
+            readers: &self.readers,
+            parent: parent_model.as_deref(),
         };
         let fixed = self.fixed_model();
 
@@ -382,14 +436,16 @@ impl IncrementalSolver {
         // (propagation and Fourier–Motzkin ignore the pins); only an
         // Unknown forces the unpinned retry — the pins may simply have
         // been an unlucky choice.
-        let pinned = self.pinned_fixed(top, &fixed);
+        let pinned = parent_model
+            .as_deref()
+            .map(|model| self.pinned_fixed(top, model, &fixed));
         let decision = decide_conjunction(
             &self.lin,
             &self.residuals,
             &self.vars,
             pinned.as_ref().unwrap_or(&fixed),
-            &parent_bounds,
-            &self.lits,
+            parent_bounds,
+            &originals,
             &self.config,
             &mut self.stats,
         );
@@ -401,8 +457,8 @@ impl IncrementalSolver {
             &self.residuals,
             &self.vars,
             &fixed,
-            &parent_bounds,
-            &self.lits,
+            parent_bounds,
+            &originals,
             &self.config,
             &mut self.stats,
         )
@@ -462,13 +518,18 @@ impl IncrementalSolver {
             if contradiction {
                 continue;
             }
+            let originals = Originals {
+                lits: &self.lits,
+                readers: &self.readers,
+                parent: None,
+            };
             let verdict = match decide_conjunction(
                 &lin,
                 &residuals,
                 &self.vars,
                 &fixed,
                 seed,
-                &self.lits,
+                &originals,
                 &self.config,
                 &mut self.stats,
             )
@@ -495,8 +556,8 @@ impl IncrementalSolver {
         &mut self,
         top: usize,
         verdict: SatResult,
-        model: Option<Model>,
-        bounds: Option<Bounds>,
+        model: Option<Arc<Model>>,
+        bounds: Option<Arc<Bounds>>,
     ) -> SatResult {
         self.record(top, verdict, model, bounds);
         self.tally(verdict);
@@ -508,8 +569,8 @@ impl IncrementalSolver {
         &mut self,
         top: usize,
         verdict: SatResult,
-        model: Option<Model>,
-        bounds: Option<Bounds>,
+        model: Option<Arc<Model>>,
+        bounds: Option<Arc<Bounds>>,
     ) {
         self.note_unsat(top, verdict);
         self.frames[top].verdict = Some(verdict);
@@ -541,8 +602,8 @@ impl IncrementalSolver {
         &mut self,
         top: usize,
         verdict: SatResult,
-        model: Option<Model>,
-        bounds: Option<Bounds>,
+        model: Option<Arc<Model>>,
+        bounds: Option<Arc<Bounds>>,
     ) {
         if let Some(node) = self.frames[top].trie_node {
             self.trie[node].verdict = Some(verdict);
@@ -622,8 +683,8 @@ impl IncrementalSolver {
                 parent: parent_idx,
                 term: term.index() as u32,
                 verdict: node.verdict,
-                model: node.model.clone(),
-                bounds: node.bounds.clone(),
+                model: node.model.as_deref().cloned(),
+                bounds: node.bounds.as_deref().cloned(),
             });
             mapped[i] = Some(entries.len() as u32);
         }
@@ -679,8 +740,8 @@ impl IncrementalSolver {
                 if self.trie[node].verdict.is_none() {
                     if let Some(verdict) = entry.verdict {
                         self.trie[node].verdict = Some(verdict);
-                        self.trie[node].model = entry.model.clone();
-                        self.trie[node].bounds = entry.bounds.clone();
+                        self.trie[node].model = entry.model.clone().map(Arc::new);
+                        self.trie[node].bounds = entry.bounds.clone().map(Arc::new);
                         imported += 1;
                     }
                 }
@@ -690,46 +751,72 @@ impl IncrementalSolver {
         imported
     }
 
-    /// Builds the reuse candidate: the parent frame's verified model,
+    /// Model reuse at depth `top`: the parent frame's verified model,
     /// extended with defaults for this frame's fresh variables and with
-    /// this frame's boolean literal assignments.
-    fn reuse_candidate(&self, top: usize) -> Option<Model> {
-        let mut candidate = if top == 0 {
-            Model::new()
-        } else {
-            match self.frames[top - 1].verdict {
+    /// this frame's boolean literal assignments, when that candidate
+    /// satisfies every pushed literal.
+    ///
+    /// The candidate is never copied to be checked: it is the shared
+    /// parent model seen through those few overriding values. The parent
+    /// model satisfies every literal below the top, so only the top
+    /// literal and the literals that read an overridden variable are
+    /// evaluated (fresh variables appear in no earlier literal; a boolean
+    /// this frame pins may). The candidate is materialized only when it
+    /// is accepted and differs from the parent.
+    fn reuse(&self, top: usize) -> Option<Arc<Model>> {
+        let parent = match top {
+            0 => Arc::new(Model::new()),
+            _ => match self.frames[top - 1].verdict {
                 Some(SatResult::Sat) => self.frames[top - 1].model.clone()?,
                 _ => return None,
-            }
+            },
         };
         let frame = &self.frames[top];
+        let mut overrides: Vec<(u32, Value)> = Vec::new();
+        let mut set = |id: u32, value: Value| match overrides.iter_mut().find(|(o, _)| *o == id) {
+            Some(slot) => slot.1 = value,
+            None => overrides.push((id, value)),
+        };
         for id in &frame.new_vars {
-            let var = self.vars.get(id)?;
-            match var.ty() {
-                SymTy::Int => candidate.set(*id, Value::Int(0)),
-                SymTy::Bool => candidate.set(*id, Value::Bool(false)),
-            }
+            set(*id, default_value(self.vars.get(id)?.ty()));
         }
         for (id, _) in &frame.bool_undo {
-            let value = *self.bools.get(id)?;
-            candidate.set(*id, Value::Bool(value));
+            set(*id, Value::Bool(*self.bools.get(id)?));
         }
-        Some(candidate)
+        overrides.retain(|&(id, value)| parent.get(id) != Some(value));
+        let lookup = |id: u32| match overrides.iter().find(|(o, _)| *o == id) {
+            Some(&(_, value)) => Some(value),
+            None => parent.get(id),
+        };
+        let holds = |lit: &SymExpr| eval_in(lit, &lookup) == Some(Value::Bool(true));
+        let originals = Originals {
+            lits: &self.lits,
+            readers: &self.readers,
+            parent: Some(&parent),
+        };
+        let reused = originals.holds_given(overrides.iter().map(|&(id, _)| id), holds);
+        debug_assert_eq!(
+            reused,
+            self.lits.iter().all(holds),
+            "narrowed model reuse disagrees with the whole stack"
+        );
+        if !reused {
+            return None;
+        }
+        if overrides.is_empty() {
+            return Some(parent);
+        }
+        let mut model = (*parent).clone();
+        for (id, value) in overrides {
+            model.set(id, value);
+        }
+        Some(Arc::new(model))
     }
 
-    /// The pinned `fixed` seed for the partial search: the parent model's
-    /// values for every variable the top frame's literal does not mention,
-    /// overlaid with the hard boolean assignments. `None` when there is no
-    /// SAT parent model to pin from.
-    fn pinned_fixed(&self, top: usize, fixed: &Model) -> Option<Model> {
-        if top == 0 {
-            return None;
-        }
-        let parent = &self.frames[top - 1];
-        if parent.verdict != Some(SatResult::Sat) {
-            return None;
-        }
-        let parent_model = parent.model.as_ref()?;
+    /// The pinned `fixed` seed for the partial search: the SAT parent
+    /// model's values for every variable the top frame's literal does not
+    /// mention, overlaid with the hard boolean assignments.
+    fn pinned_fixed(&self, top: usize, parent_model: &Model, fixed: &Model) -> Model {
         let lit_vars = &self.frames[top].lit_vars;
         let mut pinned = Model::new();
         for (id, value) in parent_model.iter() {
@@ -740,7 +827,7 @@ impl IncrementalSolver {
         for (id, value) in fixed.iter() {
             pinned.set(id, value);
         }
-        Some(pinned)
+        pinned
     }
 
     /// The boolean literal assignments as a [`Model`] (what the shared
@@ -757,7 +844,7 @@ impl IncrementalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sym::{BinOp, VarPool};
+    use crate::sym::{BinOp, SymTy, VarPool};
 
     fn setup() -> (VarPool, SymVar, SymVar, SymVar) {
         let mut pool = VarPool::new();

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::linear::{LinAtom, Rel};
+use crate::linear::{LinAtom, LinExpr, Rel};
 
 /// An integer interval; `None` bounds mean unbounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,25 +132,28 @@ pub fn propagate(atoms: &[LinAtom], initial: &BTreeMap<u32, Interval>) -> Propag
         }
     }
 
+    // An equality `e = 0` is `e ≤ 0 ∧ -e ≤ 0`; one whose negation
+    // overflows is skipped.
+    let negated: Vec<Option<LinExpr>> = atoms
+        .iter()
+        .map(|atom| match atom.rel {
+            Rel::Le => None,
+            Rel::Eq => atom.expr.checked_scale(-1),
+        })
+        .collect();
     for _ in 0..MAX_SWEEPS {
         let mut changed = false;
-        for atom in atoms {
-            // An equality `e = 0` is `e ≤ 0 ∧ -e ≤ 0`.
-            let negated;
-            let exprs: &[_] = match atom.rel {
-                Rel::Le => std::slice::from_ref(&atom.expr),
-                Rel::Eq => {
-                    negated = [
-                        atom.expr.clone(),
-                        match atom.expr.checked_scale(-1) {
-                            Some(e) => e,
-                            None => continue,
-                        },
-                    ];
-                    &negated
+        for (atom, negated) in atoms.iter().zip(&negated) {
+            let pair;
+            let exprs: &[&LinExpr] = match (atom.rel, negated) {
+                (Rel::Le, _) => &[&atom.expr],
+                (Rel::Eq, Some(negated)) => {
+                    pair = [&atom.expr, negated];
+                    &pair
                 }
+                (Rel::Eq, None) => continue,
             };
-            for expr in exprs {
+            for &expr in exprs {
                 // For each xⱼ: cⱼ·xⱼ ≤ -k - Σ_{i≠j} cᵢ·xᵢ.
                 for (j, cj) in expr.terms() {
                     // Upper bound of the RHS via interval arithmetic.
@@ -212,7 +215,7 @@ pub fn propagate(atoms: &[LinAtom], initial: &BTreeMap<u32, Interval>) -> Propag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::{atomize_cmp, LinExpr};
+    use crate::linear::atomize_cmp;
     use crate::sym::{BinOp, SymExpr, SymTy, SymVar, VarPool};
 
     fn two_vars() -> (SymVar, SymVar) {

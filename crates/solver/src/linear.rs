@@ -107,6 +107,25 @@ impl LinExpr {
         self.coeffs.remove(&id).unwrap_or(0)
     }
 
+    /// Folds every variable `value` assigns into the constant, in id
+    /// order. `None` on overflow.
+    pub(crate) fn fold_assigned(&self, value: impl Fn(u32) -> Option<i64>) -> Option<LinExpr> {
+        let mut out = LinExpr::constant_expr(self.constant);
+        for (&id, &c) in &self.coeffs {
+            match value(id) {
+                Some(v) => {
+                    out.constant = c
+                        .checked_mul(v as i128)
+                        .and_then(|t| out.constant.checked_add(t))?;
+                }
+                None => {
+                    out.coeffs.insert(id, c);
+                }
+            }
+        }
+        Some(out)
+    }
+
     /// Evaluates under a total integer assignment.
     pub fn eval(&self, assignment: &BTreeMap<u32, i64>) -> Option<i128> {
         let mut total = self.constant;

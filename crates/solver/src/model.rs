@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::interval::{propagate, Interval, PropagationResult};
-use crate::linear::{LinAtom, LinExpr};
+use crate::linear::LinAtom;
 use crate::sym::{BinOp, SymExpr, SymTy, SymVar, UnOp};
 
 /// A concrete value.
@@ -91,66 +91,79 @@ impl Model {
     /// unassigned, on arithmetic overflow, or on division by zero — callers
     /// treat `None` as "candidate rejected".
     pub fn eval(&self, expr: &SymExpr) -> Option<Value> {
-        match expr {
-            SymExpr::Int(v) => Some(Value::Int(*v)),
-            SymExpr::Bool(b) => Some(Value::Bool(*b)),
-            SymExpr::Var(v) => self.values.get(&v.id()).copied(),
-            SymExpr::Unary { op, arg } => {
-                let inner = self.eval(arg)?;
-                match (op, inner) {
-                    (UnOp::Neg, Value::Int(v)) => v.checked_neg().map(Value::Int),
-                    (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
-                    _ => None,
-                }
-            }
-            SymExpr::Binary { op, lhs, rhs } => {
-                // Short-circuit booleans first.
-                if *op == BinOp::And || *op == BinOp::Or {
-                    let Value::Bool(l) = self.eval(lhs)? else {
-                        return None;
-                    };
-                    if *op == BinOp::And && !l {
-                        return Some(Value::Bool(false));
-                    }
-                    if *op == BinOp::Or && l {
-                        return Some(Value::Bool(true));
-                    }
-                    let Value::Bool(r) = self.eval(rhs)? else {
-                        return None;
-                    };
-                    return Some(Value::Bool(r));
-                }
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                match (l, r) {
-                    (Value::Int(a), Value::Int(b)) => match op {
-                        BinOp::Add => a.checked_add(b).map(Value::Int),
-                        BinOp::Sub => a.checked_sub(b).map(Value::Int),
-                        BinOp::Mul => a.checked_mul(b).map(Value::Int),
-                        BinOp::Div => a.checked_div(b).map(Value::Int),
-                        BinOp::Rem => a.checked_rem(b).map(Value::Int),
-                        BinOp::Eq => Some(Value::Bool(a == b)),
-                        BinOp::Ne => Some(Value::Bool(a != b)),
-                        BinOp::Lt => Some(Value::Bool(a < b)),
-                        BinOp::Le => Some(Value::Bool(a <= b)),
-                        BinOp::Gt => Some(Value::Bool(a > b)),
-                        BinOp::Ge => Some(Value::Bool(a >= b)),
-                        BinOp::And | BinOp::Or => None,
-                    },
-                    (Value::Bool(a), Value::Bool(b)) => match op {
-                        BinOp::Eq => Some(Value::Bool(a == b)),
-                        BinOp::Ne => Some(Value::Bool(a != b)),
-                        _ => None,
-                    },
-                    _ => None,
-                }
-            }
-        }
+        eval_in(expr, &|id| self.get(id))
+    }
+
+    /// The value of the variable with id `id`, if assigned.
+    pub(crate) fn get(&self, id: u32) -> Option<Value> {
+        self.values.get(&id).copied()
     }
 
     /// Evaluates a boolean expression to `true` under this model.
     pub fn satisfies(&self, constraint: &SymExpr) -> bool {
         self.eval(constraint) == Some(Value::Bool(true))
+    }
+}
+
+/// Evaluates `expr` with variable values taken from `lookup` (by id) —
+/// [`Model::eval`] over any assignment, such as a shared model seen
+/// through a few overriding values. `None` exactly where
+/// [`Model::eval`] answers `None`.
+pub(crate) fn eval_in<F: Fn(u32) -> Option<Value>>(expr: &SymExpr, lookup: &F) -> Option<Value> {
+    match expr {
+        SymExpr::Int(v) => Some(Value::Int(*v)),
+        SymExpr::Bool(b) => Some(Value::Bool(*b)),
+        SymExpr::Var(v) => lookup(v.id()),
+        SymExpr::Unary { op, arg } => {
+            let inner = eval_in(arg, lookup)?;
+            match (op, inner) {
+                (UnOp::Neg, Value::Int(v)) => v.checked_neg().map(Value::Int),
+                (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
+                _ => None,
+            }
+        }
+        SymExpr::Binary { op, lhs, rhs } => {
+            // Short-circuit booleans first.
+            if *op == BinOp::And || *op == BinOp::Or {
+                let Value::Bool(l) = eval_in(lhs, lookup)? else {
+                    return None;
+                };
+                if *op == BinOp::And && !l {
+                    return Some(Value::Bool(false));
+                }
+                if *op == BinOp::Or && l {
+                    return Some(Value::Bool(true));
+                }
+                let Value::Bool(r) = eval_in(rhs, lookup)? else {
+                    return None;
+                };
+                return Some(Value::Bool(r));
+            }
+            let l = eval_in(lhs, lookup)?;
+            let r = eval_in(rhs, lookup)?;
+            match (l, r) {
+                (Value::Int(a), Value::Int(b)) => match op {
+                    BinOp::Add => a.checked_add(b).map(Value::Int),
+                    BinOp::Sub => a.checked_sub(b).map(Value::Int),
+                    BinOp::Mul => a.checked_mul(b).map(Value::Int),
+                    BinOp::Div => a.checked_div(b).map(Value::Int),
+                    BinOp::Rem => a.checked_rem(b).map(Value::Int),
+                    BinOp::Eq => Some(Value::Bool(a == b)),
+                    BinOp::Ne => Some(Value::Bool(a != b)),
+                    BinOp::Lt => Some(Value::Bool(a < b)),
+                    BinOp::Le => Some(Value::Bool(a <= b)),
+                    BinOp::Gt => Some(Value::Bool(a > b)),
+                    BinOp::Ge => Some(Value::Bool(a >= b)),
+                    BinOp::And | BinOp::Or => None,
+                },
+                (Value::Bool(a), Value::Bool(b)) => match op {
+                    BinOp::Eq => Some(Value::Bool(a == b)),
+                    BinOp::Ne => Some(Value::Bool(a != b)),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
     }
 }
 
@@ -233,10 +246,11 @@ pub fn search_model(
     };
     let result = searcher.assign(&atoms, bounds, &mut model);
     result.filter(|m| {
-        lin_atoms.iter().all(|a| {
-            let assignment = int_assignment(m);
-            a.eval(&assignment).unwrap_or(false)
-        }) && residuals.iter().all(|r| m.satisfies(r))
+        let assignment = int_assignment(m);
+        lin_atoms
+            .iter()
+            .all(|a| a.eval(&assignment).unwrap_or(false))
+            && residuals.iter().all(|r| m.satisfies(r))
     })
 }
 
@@ -251,41 +265,15 @@ fn int_assignment(model: &Model) -> BTreeMap<u32, i64> {
 }
 
 /// Folds assigned variables into the atoms' constants; `None` if an atom
-/// becomes constant-false.
+/// becomes constant-false or a fold overflows.
 fn specialize(atoms: &[LinAtom], model: &Model) -> Option<Vec<LinAtom>> {
     let mut out = Vec::new();
     for atom in atoms {
-        let mut expr = atom.expr.clone();
-        let mut constant: i128 = expr.constant();
-        let mut ok = true;
-        for (id, c) in atom.expr.terms() {
-            if let Some(Value::Int(v)) = model.values.get(&id).copied() {
-                expr.remove_var(id);
-                match c
-                    .checked_mul(v as i128)
-                    .and_then(|t| constant.checked_add(t))
-                {
-                    Some(next) => constant = next,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !ok {
-            return None;
-        }
-        let rebuilt = {
-            let mut e = LinExpr::constant_expr(constant);
-            for (id, c) in expr.terms() {
-                let var_term = LinExpr::variable(id).checked_scale(c)?;
-                e = e.checked_add(&var_term)?;
-            }
-            e
-        };
         let specialized = LinAtom {
-            expr: rebuilt,
+            expr: atom.expr.fold_assigned(|id| match model.get(id) {
+                Some(Value::Int(v)) => Some(v),
+                _ => None,
+            })?,
             rel: atom.rel,
         };
         match specialized.constant_truth() {

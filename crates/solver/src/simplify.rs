@@ -188,10 +188,13 @@ mod tests {
     #[test]
     fn equality_pins_and_subsumes() {
         let (_, n) = var();
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(SymExpr::var(&n), SymExpr::int(0)))
-            .and(SymExpr::eq(SymExpr::var(&n), SymExpr::int(5)))
-            .and(SymExpr::le(SymExpr::var(&n), SymExpr::int(100)));
+        let pc: PathCondition = [
+            SymExpr::gt(SymExpr::var(&n), SymExpr::int(0)),
+            SymExpr::eq(SymExpr::var(&n), SymExpr::int(5)),
+            SymExpr::le(SymExpr::var(&n), SymExpr::int(100)),
+        ]
+        .into_iter()
+        .collect();
         let simplified = simplify_pc(&pc);
         assert_eq!(simplified.to_string(), "N == 5");
     }
@@ -199,9 +202,12 @@ mod tests {
     #[test]
     fn contradictions_collapse_to_false() {
         let (_, n) = var();
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(SymExpr::var(&n), SymExpr::int(9)))
-            .and(SymExpr::lt(SymExpr::var(&n), SymExpr::int(3)));
+        let pc: PathCondition = [
+            SymExpr::gt(SymExpr::var(&n), SymExpr::int(9)),
+            SymExpr::lt(SymExpr::var(&n), SymExpr::int(3)),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(simplify_pc(&pc).to_string(), "false");
     }
 
@@ -211,10 +217,13 @@ mod tests {
         let a = pool.fresh("A", SymTy::Int);
         let b = pool.fresh("B", SymTy::Int);
         let cross = SymExpr::lt(SymExpr::var(&a), SymExpr::var(&b));
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(SymExpr::var(&a), SymExpr::int(0)))
-            .and(SymExpr::gt(SymExpr::var(&a), SymExpr::int(2)))
-            .and(cross.clone());
+        let pc: PathCondition = [
+            SymExpr::gt(SymExpr::var(&a), SymExpr::int(0)),
+            SymExpr::gt(SymExpr::var(&a), SymExpr::int(2)),
+            cross.clone(),
+        ]
+        .into_iter()
+        .collect();
         let simplified = simplify_pc(&pc);
         assert_eq!(simplified.to_string(), "A > 2 && A < B");
     }
@@ -223,15 +232,18 @@ mod tests {
     fn scaled_coefficients_round_correctly() {
         let (_, n) = var();
         // 2N > 7 ⇔ N >= 4; 2N <= 9 ⇔ N <= 4.
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(
+        let pc: PathCondition = [
+            SymExpr::gt(
                 SymExpr::mul(SymExpr::int(2), SymExpr::var(&n)),
                 SymExpr::int(7),
-            ))
-            .and(SymExpr::le(
+            ),
+            SymExpr::le(
                 SymExpr::mul(SymExpr::int(2), SymExpr::var(&n)),
                 SymExpr::int(9),
-            ));
+            ),
+        ]
+        .into_iter()
+        .collect();
         let simplified = simplify_pc(&pc);
         // Both conjuncts survive (each provides one side), none are
         // contradictory.
@@ -244,13 +256,16 @@ mod tests {
         let mut pool = VarPool::new();
         let x = pool.fresh("X", SymTy::Int);
         let y = pool.fresh("Y", SymTy::Int);
-        let pc = PathCondition::new()
-            .and(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)))
-            .and(SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)))
-            .and(SymExpr::le(
+        let pc: PathCondition = [
+            SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)),
+            SymExpr::gt(SymExpr::var(&x), SymExpr::int(5)),
+            SymExpr::le(
                 SymExpr::add(SymExpr::var(&x), SymExpr::var(&y)),
                 SymExpr::int(20),
-            ));
+            ),
+        ]
+        .into_iter()
+        .collect();
         let simplified = simplify_pc(&pc);
         let mut solver = Solver::new();
         let original = solver.check_pc(&pc);
@@ -266,7 +281,7 @@ mod tests {
         assert_eq!(simplify_pc(&PathCondition::new()).to_string(), "true");
         let mut pool = VarPool::new();
         let b = pool.fresh("B", SymTy::Bool);
-        let pc = PathCondition::new().and(SymExpr::var(&b));
+        let pc: PathCondition = [SymExpr::var(&b)].into_iter().collect();
         assert_eq!(simplify_pc(&pc).to_string(), "B");
     }
 
@@ -274,10 +289,12 @@ mod tests {
     fn unsatisfiable_equality_is_detected() {
         let (_, n) = var();
         // 2N == 7 has no integer solution.
-        let pc = PathCondition::new().and(SymExpr::eq(
+        let pc: PathCondition = [SymExpr::eq(
             SymExpr::mul(SymExpr::int(2), SymExpr::var(&n)),
             SymExpr::int(7),
-        ));
+        )]
+        .into_iter()
+        .collect();
         assert_eq!(simplify_pc(&pc).to_string(), "false");
     }
 }

@@ -19,7 +19,8 @@
 //! generation, simplification): it pushes every constraint onto a fresh
 //! incremental solver and checks once.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::fm::{eliminate, substitute_equalities, FmResult, Substitution};
 use crate::incremental::IncrementalSolver;
@@ -277,7 +278,7 @@ pub(crate) fn decide_conjunction(
     vars: &BTreeMap<u32, SymVar>,
     fixed: &Model,
     initial_bounds: &BTreeMap<u32, Interval>,
-    originals: &[SymExpr],
+    originals: &Originals<'_>,
     config: &SolverConfig,
     stats: &mut SolverStats,
 ) -> (CaseVerdict, Option<BTreeMap<u32, Interval>>) {
@@ -290,11 +291,14 @@ pub(crate) fn decide_conjunction(
     // Model search. When there are no residual atoms we can search the
     // *reduced* system (fewer variables — coupled equalities are solved
     // exactly) and back-substitute; residuals mention eliminated
-    // variables, so in their presence we search the original system.
-    let substitution = substitute_equalities(lin.to_vec());
+    // variables, so in their presence we search the original system and
+    // substitute only if Fourier–Motzkin needs it.
+    let substitution = residuals
+        .is_empty()
+        .then(|| substitute_equalities(lin.to_vec()));
     stats.model_searches += 1;
-    let found = match (&substitution, residuals.is_empty()) {
-        (Some(sub), true) if !sub.eliminated.is_empty() => {
+    let found = match &substitution {
+        Some(Some(sub)) if !sub.eliminated.is_empty() => {
             search_reduced_system(sub, vars, fixed, &config.search)
         }
         _ => search_model(lin, residuals, vars, &bounds, fixed, &config.search),
@@ -303,20 +307,13 @@ pub(crate) fn decide_conjunction(
         // Default-fill variables that appear in the originals but not in
         // this case (dropped `true` conjuncts, other disjuncts), then
         // verify everything.
-        let mut all_vars = BTreeMap::new();
-        for c in originals {
-            c.collect_vars(&mut all_vars);
-        }
-        for (id, var) in &all_vars {
-            if model.value(var).is_none() {
-                match var.ty() {
-                    SymTy::Int => model.set(*id, Value::Int(0)),
-                    SymTy::Bool => model.set(*id, Value::Bool(false)),
-                }
+        for (&id, readers) in originals.readers {
+            if model.get(id).is_none() {
+                model.set(id, default_value(readers.var.ty()));
             }
         }
-        if originals.iter().all(|c| model.satisfies(c)) {
-            return (CaseVerdict::Sat(model), Some(bounds));
+        if originals.verify(&model) {
+            return (CaseVerdict::Sat(Arc::new(model)), Some(bounds));
         }
     }
 
@@ -325,6 +322,7 @@ pub(crate) fn decide_conjunction(
     // sound even with residual atoms (a residual can only constrain
     // further). FM cannot refute a system that has a verified integer
     // model, so running it only now changes no verdict.
+    let substitution = substitution.unwrap_or_else(|| substitute_equalities(lin.to_vec()));
     if let Some(sub) = &substitution {
         stats.fm_runs += 1;
         if eliminate(&sub.atoms) == FmResult::Unsat {
@@ -365,9 +363,95 @@ fn search_reduced_system(
 }
 
 pub(crate) enum CaseVerdict {
-    Sat(Model),
+    Sat(Arc<Model>),
     Unsat,
     Unknown,
+}
+
+/// The value a variable no constraint pins takes in a model: `0` or
+/// `false`.
+pub(crate) fn default_value(ty: SymTy) -> Value {
+    match ty {
+        SymTy::Int => Value::Int(0),
+        SymTy::Bool => Value::Bool(false),
+    }
+}
+
+/// The stacked literals that read one variable.
+#[derive(Debug, Clone)]
+pub(crate) struct Readers {
+    /// The variable.
+    pub(crate) var: SymVar,
+    /// Stack indices of the literals that read it, ascending.
+    pub(crate) lits: Vec<usize>,
+}
+
+/// What a candidate model must satisfy — a reused, searched or
+/// caller-supplied one: every literal on the incremental solver's stack.
+pub(crate) struct Originals<'a> {
+    /// The stacked literals, bottom first.
+    pub(crate) lits: &'a [SymExpr],
+    /// For every variable a stacked literal reads, the literals that read
+    /// it.
+    pub(crate) readers: &'a HashMap<u32, Readers>,
+    /// A verified model of every literal but the last, when the parent
+    /// frame has one. A model is then verified by re-checking only the
+    /// last literal and the literals that read a variable it changes;
+    /// without one, every literal is checked.
+    pub(crate) parent: Option<&'a Model>,
+}
+
+impl Originals<'_> {
+    /// Whether `model` satisfies every literal.
+    pub(crate) fn verify(&self, model: &Model) -> bool {
+        let Some(parent) = self.parent else {
+            return self.lits.iter().all(|lit| model.satisfies(lit));
+        };
+        let changed = model
+            .iter()
+            .filter(|&(id, value)| parent.get(id) != Some(value))
+            .map(|(id, _)| id)
+            .chain(
+                parent
+                    .iter()
+                    .filter(|&(id, _)| model.get(id).is_none())
+                    .map(|(id, _)| id),
+            );
+        let holds = self.holds_given(changed, |lit| model.satisfies(lit));
+        debug_assert_eq!(
+            holds,
+            self.lits.iter().all(|lit| model.satisfies(lit)),
+            "narrowed verification disagrees with the whole stack"
+        );
+        holds
+    }
+
+    /// Whether an assignment satisfies every literal, given that it
+    /// differs from a verified model of all literals but the last only
+    /// on the variable ids in `changed`: the last literal and the earlier
+    /// literals that read a changed variable are the only ones that can
+    /// fail. `holds` evaluates one literal under the assignment.
+    pub(crate) fn holds_given(
+        &self,
+        changed: impl IntoIterator<Item = u32>,
+        holds: impl Fn(&SymExpr) -> bool,
+    ) -> bool {
+        let Some((last, earlier)) = self.lits.split_last() else {
+            return true;
+        };
+        if !holds(last) {
+            return false;
+        }
+        let mut suspects: Vec<usize> = changed
+            .into_iter()
+            .filter_map(|id| self.readers.get(&id))
+            .flat_map(|readers| readers.lits.iter().copied())
+            .filter(|&index| index < earlier.len())
+            .collect();
+        suspects.sort_unstable();
+        suspects.dedup();
+        suspects.into_iter().all(|index| holds(&earlier[index]))
+    }
 }
 
 /// Negation normal form: pushes `!` inward through `&&`/`||` (De Morgan)

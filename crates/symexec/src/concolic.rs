@@ -166,7 +166,7 @@ impl ConcolicExecutor {
                     }
                     let sym = eval_symbolic(value, &env)
                         .expect("concrete evaluation succeeded, so all variables are bound");
-                    env.bind(var.clone(), sym);
+                    env.bind(var, sym);
                     node = cfg.succs(node)[0].0;
                 }
                 NodeKind::Branch { cond } => {

@@ -5,9 +5,9 @@ use std::fmt;
 
 use dise_solver::SymExpr;
 
-/// An immutable-by-convention map from program-variable names to their
-/// current symbolic values. Cloning is cheap: values share sub-expressions
-/// via `Arc`.
+/// A map from program-variable names to their current symbolic values.
+/// The executor moves it from state to state and rebinds it in place;
+/// only a fork clones it (values share sub-expressions via `Arc`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Env {
     bindings: BTreeMap<String, SymExpr>,
@@ -24,17 +24,15 @@ impl Env {
         self.bindings.get(name)
     }
 
-    /// Binds (or rebinds) `name` in place.
-    pub fn bind(&mut self, name: impl Into<String>, value: SymExpr) {
-        self.bindings.insert(name.into(), value);
-    }
-
-    /// Returns a copy with `name` rebound — the successor environment of
-    /// an assignment.
-    pub fn with(&self, name: impl Into<String>, value: SymExpr) -> Env {
-        let mut next = self.clone();
-        next.bind(name, value);
-        next
+    /// Binds (or rebinds) `name` in place — the effect of an assignment.
+    /// Rebinding a bound name allocates nothing.
+    pub fn bind(&mut self, name: &str, value: SymExpr) {
+        match self.bindings.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.bindings.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Iterates over `(name, value)` in name order.
@@ -84,12 +82,14 @@ mod tests {
     }
 
     #[test]
-    fn with_does_not_mutate_original() {
+    fn bind_rebinds_in_place() {
         let mut env = Env::new();
         env.bind("x", SymExpr::int(1));
-        let next = env.with("x", SymExpr::int(2));
-        assert_eq!(env.get("x"), Some(&SymExpr::int(1)));
-        assert_eq!(next.get("x"), Some(&SymExpr::int(2)));
+        let before = env.clone();
+        env.bind("x", SymExpr::int(2));
+        assert_eq!(before.get("x"), Some(&SymExpr::int(1)));
+        assert_eq!(env.get("x"), Some(&SymExpr::int(2)));
+        assert_eq!(env.len(), 1);
     }
 
     #[test]

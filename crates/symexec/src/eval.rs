@@ -101,12 +101,10 @@ mod tests {
     #[test]
     fn symbolic_update_builds_expression() {
         // The paper's testX: after `y = y + x`, y holds Y + X.
-        let (env, _) = env_xy();
-        let updated = env.with(
-            "y",
-            eval_symbolic(&parse_expr("y + x").unwrap(), &env).unwrap(),
-        );
-        assert_eq!(updated.get("y").unwrap().to_string(), "Y + X");
+        let (mut env, _) = env_xy();
+        let value = eval_symbolic(&parse_expr("y + x").unwrap(), &env).unwrap();
+        env.bind("y", value);
+        assert_eq!(env.get("y").unwrap().to_string(), "Y + X");
     }
 
     #[test]

@@ -843,9 +843,14 @@ fn classify_entry(cfg: &Cfg, config: &ExecConfig, state: &SymState) -> EntryKind
 /// The feasible-successor candidates of `state`, in the order Fig. 6
 /// explores them (true branch before false branch). `infeasible` is bumped
 /// when a concretely false `assume` kills the path.
+///
+/// The state is consumed: a step with one successor moves it (an
+/// assignment rebinds its environment in place), and only a real fork
+/// clones it. Each candidate carries only the literals it adds to the
+/// path condition; the path condition itself is the solver stack.
 fn successor_candidates(
     cfg: &Cfg,
-    state: &SymState,
+    state: SymState,
     infeasible: &mut u64,
     summaries: Option<&SummaryTable>,
     sstats: &mut SummaryStats,
@@ -853,17 +858,24 @@ fn successor_candidates(
     let plain = Succ::plain;
     let node = cfg.node(state.node);
     match &node.kind {
-        NodeKind::Begin | NodeKind::Nop => cfg
-            .succs(state.node)
-            .iter()
-            .map(|&(succ, _)| plain(state.step_to(succ)))
-            .collect(),
+        NodeKind::Begin | NodeKind::Nop => {
+            let mut out = Vec::new();
+            let mut targets = cfg.succs(state.node).iter().map(|&(succ, _)| succ);
+            let last = targets.next_back();
+            for succ in targets {
+                out.push(plain(state.clone().step_to(succ)));
+            }
+            if let Some(succ) = last {
+                out.push(plain(state.step_to(succ)));
+            }
+            out
+        }
         NodeKind::Assign { var, value } => {
             let value = eval_symbolic(value, &state.env)
                 .expect("type-checked program has no unbound variables");
             let succ = cfg.succs(state.node)[0].0;
             let mut next = state.step_to(succ);
-            next.env = state.env.with(var.clone(), value);
+            next.env.bind(var, value);
             vec![plain(next)]
         }
         NodeKind::Assume { cond } => {
@@ -880,9 +892,7 @@ fn successor_candidates(
                 }
                 None => {
                     let succ = cfg.succs(state.node)[0].0;
-                    let mut next = state.step_to(succ);
-                    next.pc = state.pc.and(cond.clone());
-                    vec![Succ::with_lit(next, cond, false)]
+                    vec![Succ::with_lit(state.step_to(succ), cond, false)]
                 }
             }
         }
@@ -898,12 +908,9 @@ fn successor_candidates(
                 Some(false) => vec![plain(state.step_to(false_succ))],
                 None => {
                     let negated = SymExpr::not(cond.clone());
-                    let mut taken = state.step_to(true_succ);
-                    taken.pc = state.pc.and(cond.clone());
-                    let mut not_taken = state.step_to(false_succ);
-                    not_taken.pc = state.pc.and(negated.clone());
+                    let not_taken = state.clone().step_to(false_succ);
                     vec![
-                        Succ::with_lit(taken, cond, true),
+                        Succ::with_lit(state.step_to(true_succ), cond, true),
                         Succ::with_lit(not_taken, negated, true),
                     ]
                 }
@@ -919,12 +926,12 @@ fn successor_candidates(
             let mut out = Vec::new();
             for path in paths {
                 sstats.paths_instantiated += 1;
-                let mut next = state.step_to(succ_node);
-                next.env = path.env;
-                for lit in &path.lits {
-                    next.pc = next.pc.and(lit.clone());
-                }
-                next.pending_error = path.error;
+                let next = SymState {
+                    node: succ_node,
+                    env: path.env,
+                    depth: state.depth + 1,
+                    pending_error: path.error,
+                };
                 out.push(Succ {
                     state: next,
                     lits: path.lits,
@@ -944,6 +951,13 @@ fn successor_candidates(
         }
         NodeKind::End | NodeKind::Error { .. } => Vec::new(),
     }
+}
+
+/// The path condition of the current path: the literals on the solver
+/// stack, with constant `true` conjuncts dropped as
+/// [`PathCondition::push`] drops them.
+fn path_condition(solver: &IncrementalSolver) -> PathCondition {
+    solver.literals().iter().cloned().collect()
 }
 
 /// Adds the time since `mark` to `share` (no-op for an untimed run).
@@ -1066,7 +1080,7 @@ impl Run<'_> {
                     let mut trace = self.trace.clone();
                     trace.push(succ.node);
                     self.paths.push(PathSummary {
-                        pc: succ.pc,
+                        pc: path_condition(self.solver),
                         outcome: PathOutcome::Pruned,
                         final_env: succ.env,
                         trace,
@@ -1085,7 +1099,8 @@ impl Run<'_> {
     }
 
     /// State entry: counting, hooks, terminal detection, successor
-    /// generation. Returns the frame to push.
+    /// generation. Consumes the state; returns the frame to push. The
+    /// state's branch literals are already on the solver stack.
     fn enter(&mut self, state: SymState, parent_tree: Option<usize>) -> Frame {
         self.stats.states_explored += 1;
         if let Some(max) = self.config.max_states {
@@ -1093,91 +1108,74 @@ impl Run<'_> {
                 self.stats.truncated = true;
             }
         }
+        let node = state.node;
         if self.config.record_traces {
-            self.trace.push(state.node);
+            self.trace.push(node);
         }
         let tree_index = self
             .tree
             .as_mut()
-            .map(|tree| tree.record(parent_tree, &state, self.cfg));
+            .map(|tree| tree.record(parent_tree, &state, &path_condition(self.solver), self.cfg));
+        let terminal = |notified| Frame {
+            node,
+            successors: Vec::new(),
+            tree_index,
+            notified,
+            pushed: 0,
+        };
 
         // Fig. 6 line 5: depth-bounded and error states return *before*
         // `UpdateExploredSet` runs — they never notify the strategy.
         match classify_entry(self.cfg, self.config, &state) {
             EntryKind::Error(message) => {
                 self.stats.paths_error += 1;
-                self.record_path(&state, PathOutcome::Error(message));
-                return Frame {
-                    node: state.node,
-                    successors: Vec::new(),
-                    tree_index,
-                    notified: false,
-                    pushed: 0,
-                };
+                self.record_path(state.env, PathOutcome::Error(message));
+                return terminal(false);
             }
             EntryKind::DepthBounded => {
                 self.stats.paths_depth_bounded += 1;
-                self.record_path(&state, PathOutcome::DepthBounded);
-                return Frame {
-                    node: state.node,
-                    successors: Vec::new(),
-                    tree_index,
-                    notified: false,
-                    pushed: 0,
-                };
+                self.record_path(state.env, PathOutcome::DepthBounded);
+                return terminal(false);
             }
             EntryKind::Completed => {
-                self.strategy.on_enter(state.node);
+                self.strategy.on_enter(node);
                 self.stats.paths_completed += 1;
-                self.record_path(&state, PathOutcome::Completed);
-                return Frame {
-                    node: state.node,
-                    successors: Vec::new(),
-                    tree_index,
-                    notified: true,
-                    pushed: 0,
-                };
+                self.record_path(state.env, PathOutcome::Completed);
+                return terminal(true);
             }
             EntryKind::Interior => {}
         }
-        self.strategy.on_enter(state.node);
+        self.strategy.on_enter(node);
 
         // Successors are stored reversed so the DFS can take ownership of
         // the next candidate with a pop() instead of a clone.
-        let mut successors = self.successors(&state);
+        let mut successors = successor_candidates(
+            self.cfg,
+            state,
+            &mut self.stats.infeasible,
+            self.summaries,
+            &mut self.stats.summary,
+        );
         successors.reverse();
         Frame {
-            node: state.node,
             successors,
-            tree_index,
-            notified: true,
-            pushed: 0,
+            ..terminal(true)
         }
     }
 
-    fn record_path(&mut self, state: &SymState, outcome: PathOutcome) {
+    /// Records the current path, which ended with `final_env`; its path
+    /// condition is built from the solver stack.
+    fn record_path(&mut self, final_env: Env, outcome: PathOutcome) {
         self.paths.push(PathSummary {
-            pc: state.pc.clone(),
+            pc: path_condition(self.solver),
             outcome,
-            final_env: state.env.clone(),
+            final_env,
             trace: if self.config.record_traces {
                 self.trace.clone()
             } else {
                 Vec::new()
             },
         });
-    }
-
-    /// The feasible-successor candidates of a state, in the order Fig. 6
-    /// explores them (true branch before false branch).
-    fn successors(&mut self, state: &SymState) -> Vec<Succ> {
-        successor_candidates(
-            self.cfg,
-            state,
-            &mut self.stats.infeasible,
-            self.summaries,
-            &mut self.stats.summary,
-        )
     }
 }
 

@@ -1,7 +1,5 @@
 //! Symbolic program states.
 
-use std::fmt;
-
 use dise_cfg::NodeId;
 use dise_solver::PathCondition;
 
@@ -10,14 +8,17 @@ use crate::env::Env;
 /// A symbolic program state: "a unique program location identifier (Loc),
 /// symbolic expressions for the symbolic input variables, and a path
 /// condition (PC)" (§2.1).
+///
+/// The path condition is not stored here: during exploration it is the
+/// executor's solver stack, whose literals are exactly the branch
+/// constraints accumulated along the path to this state. A state owns
+/// only what differs between siblings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymState {
     /// The CFG node this state is at.
     pub node: NodeId,
     /// Symbolic values of all program variables.
     pub env: Env,
-    /// Constraints accumulated along the path to this state.
-    pub pc: PathCondition,
     /// Number of transitions taken from the initial state.
     pub depth: u32,
     /// An assertion failure inherited from an instantiated procedure
@@ -34,27 +35,26 @@ impl SymState {
         SymState {
             node,
             env,
-            pc: PathCondition::new(),
             depth: 0,
             pending_error: None,
         }
     }
 
-    /// A successor at `node` with the same environment and path condition.
-    pub fn step_to(&self, node: NodeId) -> SymState {
+    /// The successor at `node` with the same environment: consumes the
+    /// state, so a step that does not fork copies nothing.
+    pub fn step_to(self, node: NodeId) -> SymState {
         SymState {
             node,
-            env: self.env.clone(),
-            pc: self.pc.clone(),
+            env: self.env,
             depth: self.depth + 1,
             pending_error: None,
         }
     }
-}
 
-impl fmt::Display for SymState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Loc: {}, {}, PC: {}", self.node, self.env, self.pc)
+    /// The state as the paper's Fig. 1 prints it, reached under the path
+    /// condition `pc`: `Loc: n1, x: X, PC: X > 0`.
+    pub fn label(&self, pc: &PathCondition) -> String {
+        format!("Loc: {}, {}, PC: {pc}", self.node, self.env)
     }
 }
 
@@ -66,17 +66,20 @@ mod tests {
     #[test]
     fn initial_state_has_true_pc_and_zero_depth() {
         let state = SymState::initial(NodeId(0), Env::new());
-        assert!(state.pc.is_empty());
         assert_eq!(state.depth, 0);
+        assert_eq!(state.pending_error, None);
+        // The path starts with nothing on the solver stack: `true`.
+        assert_eq!(state.label(&PathCondition::new()), "Loc: n0, , PC: true");
     }
 
     #[test]
     fn step_to_increments_depth() {
-        let state = SymState::initial(NodeId(0), Env::new());
-        let next = state.step_to(NodeId(3));
+        let mut env = Env::new();
+        env.bind("x", SymExpr::int(1));
+        let next = SymState::initial(NodeId(0), env.clone()).step_to(NodeId(3));
         assert_eq!(next.depth, 1);
         assert_eq!(next.node, NodeId(3));
-        assert_eq!(next.pc, state.pc);
+        assert_eq!(next.env, env);
     }
 
     #[test]
@@ -85,10 +88,10 @@ mod tests {
         let x = pool.fresh("X", SymTy::Int);
         let mut env = Env::new();
         env.bind("x", SymExpr::var(&x));
-        let mut state = SymState::initial(NodeId(1), env);
-        state
-            .pc
-            .push(SymExpr::gt(SymExpr::var(&x), SymExpr::int(0)));
-        assert_eq!(state.to_string(), "Loc: n1, x: X, PC: X > 0");
+        let state = SymState::initial(NodeId(1), env);
+        let pc: PathCondition = [SymExpr::gt(SymExpr::var(&x), SymExpr::int(0))]
+            .into_iter()
+            .collect();
+        assert_eq!(state.label(&pc), "Loc: n1, x: X, PC: X > 0");
     }
 }

@@ -6,6 +6,7 @@
 //! PC: X > 0").
 
 use dise_cfg::Cfg;
+use dise_solver::PathCondition;
 
 use crate::state::SymState;
 
@@ -32,12 +33,19 @@ impl ExecTree {
         ExecTree::default()
     }
 
-    /// Records a state; returns its index for child links.
-    pub fn record(&mut self, parent: Option<usize>, state: &SymState, cfg: &Cfg) -> usize {
+    /// Records a state reached under the path condition `pc`; returns
+    /// its index for child links.
+    pub fn record(
+        &mut self,
+        parent: Option<usize>,
+        state: &SymState,
+        pc: &PathCondition,
+        cfg: &Cfg,
+    ) -> usize {
         let index = self.nodes.len();
         self.nodes.push(TreeNode {
             parent,
-            label: format!("{state}"),
+            label: state.label(pc),
             node_label: cfg.label(state.node),
         });
         index

@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use dise::artifacts::{asw, figures, oae, wbs};
 use dise::core::dise::{run_dise, DiseConfig};
-use dise::core::metrics::result_registry;
+use dise::core::metrics::{result_registry, stage_registry};
+use dise::core::report::explore_split_line;
 use dise::core::session::AnalysisSession;
 use dise::ir::Program;
 use dise::symexec::SummaryMode;
@@ -155,6 +156,16 @@ fn traced_session_records_the_stage_hierarchy() {
         result.summary.stats().solver.pipeline_checks(),
         "stage.explore must attribute every pipeline solver check"
     );
+    // `dise profile` prints the explore split with the stage's cost per
+    // explored state, read off the same stage timings.
+    let states = result.summary.stats().states_explored;
+    let split = explore_split_line(&stage_registry(&result.stages), states);
+    let (_, per_state) = split
+        .rsplit_once("), ")
+        .expect("split ends in the per-state cost");
+    let (us, rest) = per_state.split_once(' ').expect("a figure, then its unit");
+    assert!(us.parse::<f64>().is_ok_and(|us| us > 0.0), "{split}");
+    assert_eq!(rest, format!("µs/state over {states} states"), "{split}");
     // The diff stage times its three steps. fig2 is call-free, so the
     // flatten stage passes it through without children.
     assert_eq!(
